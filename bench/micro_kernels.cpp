@@ -229,7 +229,7 @@ void BM_CpaAllocation(benchmark::State& state) {
     benchmark::DoNotOptimize(cpa.allocate(g, model, cluster));
   }
 }
-BENCHMARK(BM_CpaAllocation)->Arg(20)->Arg(100);
+BENCHMARK(BM_CpaAllocation)->Arg(20)->Arg(100)->Arg(500);
 
 void BM_McpaAllocation(benchmark::State& state) {
   const Ptg g = bench_graph(static_cast<int>(state.range(0)));
@@ -240,7 +240,7 @@ void BM_McpaAllocation(benchmark::State& state) {
     benchmark::DoNotOptimize(mcpa.allocate(g, model, cluster));
   }
 }
-BENCHMARK(BM_McpaAllocation)->Arg(20)->Arg(100);
+BENCHMARK(BM_McpaAllocation)->Arg(20)->Arg(100)->Arg(500);
 
 void BM_MutationOperator(benchmark::State& state) {
   MutationParams params;

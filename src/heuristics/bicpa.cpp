@@ -1,9 +1,8 @@
 #include "heuristics/bicpa.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "ptg/algorithms.hpp"
+#include "heuristics/critical_path_sweep.hpp"
 
 namespace ptgsched {
 
@@ -14,28 +13,24 @@ namespace {
 // critical path to W / b. Times come from the instance's table (b never
 // exceeds the real cluster size, so every lookup is in range).
 Allocation cpa_for_virtual_size(const ProblemInstance& pi, int b) {
-  const Ptg& g = pi.graph();
   const std::size_t n = pi.num_tasks();
-  const std::span<const TaskId> topo = pi.topo_order();
   const double* table = pi.time_table().data();
   const auto stride = static_cast<std::size_t>(pi.num_processors());
   Allocation alloc(n, 1);
   std::vector<double> times(n);
   for (TaskId v = 0; v < n; ++v) times[v] = table[v * stride];
-  std::vector<double> bl;
+  CriticalPathSweep cp(pi);
 
   const std::size_t max_iters = n * static_cast<std::size_t>(b) + 1;
   for (std::size_t iter = 0; iter < max_iters; ++iter) {
-    bottom_levels_into(g, topo, [&](TaskId v) { return times[v]; }, bl);
-    const double t_cp = *std::max_element(bl.begin(), bl.end());
+    const double t_cp = cp.sweep(times);
     double work = 0.0;
     for (TaskId v = 0; v < n; ++v) {
       work += static_cast<double>(alloc[v]) * times[v];
     }
     if (t_cp <= work / static_cast<double>(b)) break;
 
-    const auto path =
-        critical_path(g, [&](TaskId v) { return times[v]; });
+    const std::span<const TaskId> path = cp.walk(times);
     TaskId best = kInvalidTask;
     double best_gain = 0.0;
     for (const TaskId v : path) {

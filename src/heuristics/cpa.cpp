@@ -1,8 +1,6 @@
 #include "heuristics/cpa.hpp"
 
-#include <algorithm>
-
-#include "ptg/algorithms.hpp"
+#include "heuristics/critical_path_sweep.hpp"
 
 namespace ptgsched {
 
@@ -13,10 +11,8 @@ namespace {
 /// is classic CPA/HCPA. All execution times come from the instance's
 /// precomputed table.
 Allocation cpa_core(const ProblemInstance& pi, bool level_bound) {
-  const Ptg& g = pi.graph();
   const int P = pi.num_processors();
   const std::size_t n = pi.num_tasks();
-  const std::span<const TaskId> topo = pi.topo_order();
   const std::span<const int> levels = pi.precedence_levels();
   const double* table = pi.time_table().data();
   const auto stride = static_cast<std::size_t>(P);
@@ -31,15 +27,13 @@ Allocation cpa_core(const ProblemInstance& pi, bool level_bound) {
     level_alloc[static_cast<std::size_t>(levels[v])] += 1;
   }
 
-  std::vector<double> bl;
-  const auto time_of = [&](TaskId v) { return times[v]; };
+  CriticalPathSweep cp(pi);
 
   // Each iteration grants exactly one processor, so the loop runs at most
   // V * (P - 1) times; the explicit bound guards against model pathologies.
   const std::size_t max_iters = n * static_cast<std::size_t>(P) + 1;
   for (std::size_t iter = 0; iter < max_iters; ++iter) {
-    bottom_levels_into(g, topo, time_of, bl);
-    const double t_cp = *std::max_element(bl.begin(), bl.end());
+    const double t_cp = cp.sweep(times);
     double work = 0.0;
     for (TaskId v = 0; v < n; ++v) {
       work += static_cast<double>(alloc[v]) * times[v];
@@ -49,7 +43,7 @@ Allocation cpa_core(const ProblemInstance& pi, bool level_bound) {
 
     // Candidate = critical-path task with the best improvement of the
     // average per-processor time T(v,s)/s when granted one more processor.
-    const auto path = critical_path(g, time_of);
+    const std::span<const TaskId> path = cp.walk(times);
     TaskId best = kInvalidTask;
     double best_gain = 0.0;
     for (const TaskId v : path) {

@@ -57,6 +57,18 @@ class ServerTest : public ::testing::Test {
     return spec;
   }
 
+  // Specs that hold the single worker for a known time. Measured on a
+  // 4-vCPU Xeon host, submit to done with one worker and no deadline:
+  // irregular-4000 took 284-434 ms over 10 runs, irregular-8000 took
+  // 1258-1672 ms. The tests below size them against their race windows
+  // with a margin of at least 10x.
+  static JobSpec heavy_spec(int tasks) {
+    JobSpec spec = tiny_spec();
+    spec.cls = "irregular";
+    spec.tasks = tasks;
+    return spec;
+  }
+
   fs::path dir_;
   ServeConfig config_;
   std::unique_ptr<ServeServer> server_;
@@ -110,11 +122,10 @@ TEST_F(ServerTest, BackpressureRejectsWithRetryAfter) {
 
   // Park the single worker on a heavyweight request, then overfill the
   // one-slot queue: the second tiny submission must shed immediately
-  // with a usable retry hint.
-  JobSpec heavy = tiny_spec();
-  heavy.cls = "irregular";
-  heavy.tasks = 200;
-  const SubmitOutcome busy = client.submit(heavy, "t");
+  // with a usable retry hint. From the heavy submit to the first shed
+  // reply took at most 11.5 ms over 100 runs on the host measured above
+  // (p50 5.5 ms), so the worker stays busy through it by 24x.
+  const SubmitOutcome busy = client.submit(heavy_spec(4000), "t");
   ASSERT_TRUE(busy.accepted);
 
   std::vector<SubmitOutcome> accepted;
@@ -156,12 +167,10 @@ TEST_F(ServerTest, DeadlineExpiryCancelsWithDeadlineReason) {
   start();
   ServeClient client(config_.socket_path);
 
-  // A heavyweight spec with a 100 ms deadline: the watchdog must trip it
-  // (a 2000-task EMTS run takes a couple hundred ms at minimum).
-  JobSpec heavy = tiny_spec();
-  heavy.cls = "irregular";
-  heavy.tasks = 2000;
-  const SubmitOutcome outcome = client.submit(heavy, "t", 0.1);
+  // A heavyweight spec with a 50 ms deadline: the watchdog, which scans
+  // every 20 ms, trips it by ~70 ms, while the run needs at least
+  // 1258 ms (18x) to finish.
+  const SubmitOutcome outcome = client.submit(heavy_spec(8000), "t", 0.05);
   ASSERT_TRUE(outcome.accepted);
 
   const auto final_status = client.wait_terminal(outcome.id, 30.0);
@@ -177,9 +186,10 @@ TEST_F(ServerTest, UserCancelOfAQueuedRequest) {
   ServeClient client(config_.socket_path);
 
   // Park a slow request on the single worker, then cancel one behind it.
-  JobSpec heavy = tiny_spec();
-  heavy.tasks = 100;
-  const SubmitOutcome running = client.submit(heavy, "t");
+  // From the heavy submit to the cancel reply took at most 23 ms over 150
+  // runs on the host measured above (p50 4.9 ms), so the tiny request is
+  // still queued when the cancel arrives: the heavy run outlasts it 12x.
+  const SubmitOutcome running = client.submit(heavy_spec(4000), "t");
   ASSERT_TRUE(running.accepted);
   const SubmitOutcome queued = client.submit(tiny_spec(), "t");
   ASSERT_TRUE(queued.accepted);
