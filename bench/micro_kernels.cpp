@@ -125,101 +125,6 @@ BENCHMARK(BM_FitnessTimesSource)
     ->Args({500, 120, 0})
     ->Args({500, 120, 1});
 
-// Full pass vs incremental delta pass on EMTS-shaped mutants. The parent
-// is traced once; every child is a late-generation mutation (small m) of
-// it, exactly the steady-state the evaluation engine sees. range(2)
-// selects the path, so the full/incremental ratio at equal Args is the
-// per-evaluation speedup of the delta kernel.
-void BM_FitnessDelta(benchmark::State& state) {
-  const bool incremental = state.range(2) != 0;
-  const Ptg g = bench_graph(static_cast<int>(state.range(0)));
-  const Cluster cluster("c", static_cast<int>(state.range(1)), 3.1);
-  const SyntheticModel model;
-  const auto instance = ProblemInstance::borrow(g, model, cluster);
-  ListScheduler sched(instance);
-  const int P = cluster.num_processors();
-  Rng rng(5);
-  Allocation parent(g.num_tasks());
-  for (auto& s : parent) s = static_cast<int>(rng.uniform_int(1, P));
-  EvalTrace trace;
-  benchmark::DoNotOptimize(sched.makespan_traced(parent, trace));
-
-  // Single-gene children — the annealed-floor / neighbor-sweep workload
-  // the delta path is built for (multi-gene mutants take the kernel's
-  // profitability gate and run as full passes anyway).
-  const MutationParams mp;
-  struct Child {
-    Allocation genes;
-    std::vector<TaskId> touched;
-  };
-  std::vector<Child> children(64);
-  for (auto& ch : children) {
-    ch.genes = parent;
-    const auto pos = static_cast<TaskId>(rng.index(ch.genes.size()));
-    ch.genes[pos] = std::clamp(ch.genes[pos] + sample_allocation_delta(mp, rng),
-                               1, P);
-    ch.touched.assign(1, pos);
-  }
-
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const Child& ch = children[i++ % children.size()];
-    benchmark::DoNotOptimize(
-        incremental ? sched.makespan_delta(ch.genes, ch.touched, trace)
-                    : sched.makespan(ch.genes));
-  }
-}
-BENCHMARK(BM_FitnessDelta)
-    ->Args({100, 120, 0})   // full pass
-    ->Args({100, 120, 1})   // incremental
-    ->Args({500, 120, 0})
-    ->Args({500, 120, 1});
-
-// Sibling-lockstep session over the same workload as BM_FitnessDelta's
-// incremental case: one begin_sibling_batch per sweep of the child set,
-// every child evaluated through makespan_sibling against the shared
-// parent trace. The ratio to BM_FitnessDelta/.../1 at equal Args is the
-// per-evaluation win of the batched kernel (shared session state, shared
-// patched levels, replay/resync drives) over per-mutant resume.
-void BM_FitnessDeltaBatched(benchmark::State& state) {
-  const Ptg g = bench_graph(static_cast<int>(state.range(0)));
-  const Cluster cluster("c", static_cast<int>(state.range(1)), 3.1);
-  const SyntheticModel model;
-  const auto instance = ProblemInstance::borrow(g, model, cluster);
-  ListScheduler sched(instance);
-  const int P = cluster.num_processors();
-  Rng rng(5);
-  Allocation parent(g.num_tasks());
-  for (auto& s : parent) s = static_cast<int>(rng.uniform_int(1, P));
-  EvalTrace trace;
-  benchmark::DoNotOptimize(sched.makespan_traced(parent, trace));
-
-  const MutationParams mp;
-  struct Child {
-    Allocation genes;
-    std::vector<TaskId> touched;
-  };
-  std::vector<Child> children(64);
-  for (auto& ch : children) {
-    ch.genes = parent;
-    const auto pos = static_cast<TaskId>(rng.index(ch.genes.size()));
-    ch.genes[pos] = std::clamp(ch.genes[pos] + sample_allocation_delta(mp, rng),
-                               1, P);
-    ch.touched.assign(1, pos);
-  }
-
-  std::size_t i = 0;
-  for (auto _ : state) {
-    if (i % children.size() == 0) sched.begin_sibling_batch(trace);
-    const Child& ch = children[i++ % children.size()];
-    benchmark::DoNotOptimize(sched.makespan_sibling(ch.genes, ch.touched,
-                                                    trace));
-  }
-}
-BENCHMARK(BM_FitnessDeltaBatched)
-    ->Args({100, 120, 1})
-    ->Args({500, 120, 1});
-
 void BM_CpaAllocation(benchmark::State& state) {
   const Ptg g = bench_graph(static_cast<int>(state.range(0)));
   const Cluster cluster = grelon();

@@ -72,28 +72,11 @@ void EvolutionStrategy::set_tracked_mutator(TrackedMutateFn mutate) {
   if (mutate == nullptr) {
     throw std::invalid_argument("ES: tracked mutate must be callable");
   }
-  tracked_mutate_ = std::move(mutate);
-}
-
-void EvolutionStrategy::reproduce(const Individual& parent,
-                                  std::size_t generation, Rng& rng,
-                                  Individual& child) {
-  child.touched.clear();
-  if (tracked_mutate_ != nullptr) {
-    child.genes = tracked_mutate_(parent.genes, generation, rng,
-                                  child.touched);
-    return;
-  }
-  child.genes = mutate_(parent.genes, generation, rng);
-  // Plain mutator: recover the change set by diffing against the parent,
-  // so lineage-aware evaluators work regardless of which operator the
-  // caller supplied.
-  const std::size_t n = std::min(child.genes.size(), parent.genes.size());
-  for (std::size_t v = 0; v < n; ++v) {
-    if (child.genes[v] != parent.genes[v]) {
-      child.touched.push_back(static_cast<TaskId>(v));
-    }
-  }
+  mutate_ = [tracked = std::move(mutate)](const Allocation& parent,
+                                          std::size_t generation, Rng& rng) {
+    std::vector<TaskId> touched;
+    return tracked(parent, generation, rng, touched);
+  };
 }
 
 void EvolutionStrategy::evaluate(std::vector<Individual>& pool,
@@ -126,11 +109,7 @@ EsResult EvolutionStrategy::run(const std::vector<Individual>& seeds) {
   while (population.size() < config_.mu) {
     const Individual& parent = seeds[rng.index(seeds.size())];
     Individual filler;
-    reproduce(parent, 0, rng, filler);
-    // No lineage: the seed parent has not been evaluated yet, so there is
-    // no trace to delta against in the initial batch.
-    filler.parent = kNoParent;
-    filler.touched.clear();
+    filler.genes = mutate_(parent.genes, 0, rng);
     filler.origin = parent.origin.empty() ? "seed-mutant"
                                           : parent.origin + "-mutant";
     population.push_back(std::move(filler));
@@ -145,16 +124,6 @@ EsResult EvolutionStrategy::run(const std::vector<Individual>& seeds) {
   };
   std::stable_sort(population.begin(), population.end(), by_fitness);
   if (population.size() > config_.mu) population.resize(config_.mu);
-
-  // Survivors' lineage points into a pool that no longer exists; clear it
-  // so the next batch never deltas against the wrong index.
-  const auto clear_lineage = [&]() {
-    for (auto& ind : population) {
-      ind.parent = kNoParent;
-      ind.touched.clear();
-    }
-  };
-  clear_lineage();
 
   const auto record = [&](std::size_t gen) {
     GenerationStats gs;
@@ -199,17 +168,9 @@ EsResult EvolutionStrategy::run(const std::vector<Individual>& seeds) {
     }
     const std::size_t offspring_begin = pool.size();
     for (std::size_t j = 0; j < config_.lambda; ++j) {
-      const std::size_t pidx = rng.index(population.size());
-      const Individual& parent = population[pidx];
+      const Individual& parent = population[rng.index(population.size())];
       Individual child;
-      reproduce(parent, u, rng, child);
-      // Under plus selection the parent sits in this same pool at index
-      // pidx (< offspring_begin), already carrying its fitness — exactly
-      // what a lineage-aware evaluator needs to delta against.
-      child.parent = (config_.plus_selection &&
-                      child.genes.size() == parent.genes.size())
-                         ? pidx
-                         : kNoParent;
+      child.genes = mutate_(parent.genes, u, rng);
       child.origin = "gen" + std::to_string(u + 1);
       pool.push_back(std::move(child));
     }
@@ -225,7 +186,6 @@ EsResult EvolutionStrategy::run(const std::vector<Individual>& seeds) {
     std::stable_sort(pool.begin(), pool.end(), by_fitness);
     pool.resize(std::min(pool.size(), config_.mu));
     population = std::move(pool);
-    clear_lineage();
 
     ++result.generations_run;
     record(u + 1);

@@ -26,25 +26,11 @@
 
 namespace ptgsched {
 
-/// Sentinel for Individual::parent: no usable lineage.
-inline constexpr std::size_t kNoParent = SIZE_MAX;
-
 /// One member of the population.
 struct Individual {
   Allocation genes;
   double fitness = std::numeric_limits<double>::infinity();
   std::string origin;  ///< Which seed/operator produced it (for analysis).
-  /// Lineage for incremental evaluation: index (within the pool handed to
-  /// BatchEvaluator::evaluate_batch) of the already-evaluated parent this
-  /// individual was mutated from, or kNoParent. Only offspring under plus
-  /// selection carry lineage — their parents sit in the same pool at
-  /// indices below `begin` — and it is cleared again right after each
-  /// selection, so stale indices never leak into the next generation.
-  std::size_t parent = kNoParent;
-  /// Gene positions the mutation operator assigned: a superset of the
-  /// positions where genes differ from the parent's (re-assigning the old
-  /// value is allowed). Meaningful only while `parent` is set.
-  std::vector<TaskId> touched;
 };
 
 /// Fitness: lower is better (EMTS: schedule makespan). `slot` identifies
@@ -57,13 +43,8 @@ using FitnessFn =
 using MutateFn = std::function<Allocation(const Allocation& parent,
                                           std::size_t generation, Rng& rng)>;
 
-/// Mutation that additionally reports the gene positions it assigned into
-/// `touched` (cleared by the caller; a superset of the actually-changed
-/// positions is fine). Lineage-aware evaluators (the EvaluationEngine's
-/// incremental kernel) use the report to evaluate the child as a delta
-/// against its parent instead of from scratch. A tracked mutator MUST
-/// consume the same RNG draws as its plain counterpart so switching
-/// tracking on or off never changes the evolution trajectory.
+/// MutateFn with a `touched` out-parameter that nothing reads any more;
+/// named by benchmark/src/recompose.cpp:169.
 using TrackedMutateFn = std::function<Allocation(
     const Allocation& parent, std::size_t generation, Rng& rng,
     std::vector<TaskId>& touched)>;
@@ -188,12 +169,8 @@ class EvolutionStrategy {
   /// FnBatchEvaluator running on config.threads evaluation lanes.
   EvolutionStrategy(EsConfig config, FitnessFn fitness, MutateFn mutate);
 
-  /// Replace the mutation operator with a tracked one that reports the
-  /// gene positions it assigned (see TrackedMutateFn). With a tracked
-  /// mutator, offspring carry parent/touched lineage so a lineage-aware
-  /// evaluator can evaluate them incrementally. A setter rather than a
-  /// constructor overload: lambdas convert to both std::function types,
-  /// which would make the constructors ambiguous.
+  /// Replace the mutation operator with `mutate`, discarding what it
+  /// reports into `touched`. Used by benchmark/src/recompose.cpp:169.
   void set_tracked_mutator(TrackedMutateFn mutate);
 
   /// Run the ES. `seeds` are starting genomes (may be empty only if
@@ -209,17 +186,10 @@ class EvolutionStrategy {
   void evaluate(std::vector<Individual>& pool, std::size_t begin,
                 EsResult& result);
 
-  /// Mutate `parent`'s genes into `child` (genes + touched only; origin
-  /// and lineage are the call sites' business). Uses the tracked mutator
-  /// when set, else the plain one plus a gene diff against the parent.
-  void reproduce(const Individual& parent, std::size_t generation, Rng& rng,
-                 Individual& child);
-
   EsConfig config_;
   std::unique_ptr<FnBatchEvaluator> owned_evaluator_;  ///< FitnessFn path.
   BatchEvaluator* evaluator_ = nullptr;  ///< Never null after construction.
   MutateFn mutate_;
-  TrackedMutateFn tracked_mutate_;  ///< Optional; preferred when set.
 };
 
 }  // namespace ptgsched

@@ -49,20 +49,17 @@ MutateFn Emts::make_mutator(MutationParams params, double fm,
                                       std::size_t u, Rng& rng) {
     Allocation child = parent;
     mutate_allocation(params, fm, std::min(u, generations - 1), generations,
-                      P, rng, child, nullptr);
+                      P, rng, child);
     return child;
   };
 }
 
 TrackedMutateFn Emts::make_tracked_mutator(MutationParams params, double fm,
                                            std::size_t generations, int P) {
-  return [params, fm, generations, P](const Allocation& parent,
-                                      std::size_t u, Rng& rng,
-                                      std::vector<TaskId>& touched) {
-    Allocation child = parent;
-    mutate_allocation(params, fm, std::min(u, generations - 1), generations,
-                      P, rng, child, &touched);
-    return child;
+  return [mutate = make_mutator(params, fm, generations, P)](
+             const Allocation& parent, std::size_t u, Rng& rng,
+             std::vector<TaskId>& /*touched*/) {
+    return mutate(parent, u, rng);
   };
 }
 
@@ -101,9 +98,6 @@ EvalStats stats_delta(const EvalStats& now, const EvalStats& before) {
   d.cache_misses = now.cache_misses - before.cache_misses;
   d.cache_skipped = now.cache_skipped - before.cache_skipped;
   d.rejections = now.rejections - before.rejections;
-  d.trace_builds = now.trace_builds - before.trace_builds;
-  d.delta_scheduled = now.delta_scheduled - before.delta_scheduled;
-  d.sibling_batches = now.sibling_batches - before.sibling_batches;
   d.batches = now.batches - before.batches;
   d.eval_seconds = now.eval_seconds - before.eval_seconds;
   return d;
@@ -173,11 +167,6 @@ EmtsResult Emts::schedule(EvaluationEngine& engine) const {
   EvolutionStrategy es(es_cfg, engine,
                        make_mutator(config_.mutation, config_.fm,
                                     config_.generations, num_processors));
-  // The tracked operator gives offspring their parent/touched lineage, so
-  // the engine's incremental kernel can evaluate them as deltas. Identical
-  // RNG consumption, identical trajectory.
-  es.set_tracked_mutator(make_tracked_mutator(
-      config_.mutation, config_.fm, config_.generations, num_processors));
   result.es = es.run(seeds);
 
   result.eval_stats = stats_delta(engine.stats(), stats_before);

@@ -54,11 +54,8 @@ struct EmtsConfig {
   /// evolution trajectory (and the final schedule) is bit-identical to a
   /// run without rejection — only cheaper. Requires plus selection.
   bool use_rejection = false;
-  /// Which mapping kernel the evaluation engine runs offspring through
-  /// (full passes, incremental delta passes, or batched sibling lockstep;
-  /// bit-identical in every mode). Unset: resolved from the
-  /// PTGSCHED_KERNEL environment variable — see EvalEngineConfig::kernel.
-  std::optional<KernelMode> kernel;
+  /// Forwarded to EvalEngineConfig::kernel: unset or Full.
+  std::optional<KernelMode> kernel;  // Read by benchmark/src/recompose.cpp:99.
   /// Memoize exact makespans per allocation in the evaluation engine.
   /// Mutants frequently collide with their parents and each other under
   /// small mutation counts; a hit returns the exact cached value, so the
@@ -133,11 +130,8 @@ class Emts {
   [[nodiscard]] static MutateFn make_mutator(MutationParams params, double fm,
                                              std::size_t generations, int P);
 
-  /// Tracked twin of make_mutator: same operator, same RNG draw sequence
-  /// (both delegate to mutate_allocation), additionally reporting the
-  /// assigned gene positions so the evaluation engine can run offspring
-  /// through the incremental kernel. Swapping one for the other never
-  /// changes the evolution trajectory.
+  /// make_mutator behind the TrackedMutateFn signature; reports nothing
+  /// into `touched`. Used by benchmark/src/recompose.cpp:169.
   [[nodiscard]] static TrackedMutateFn make_tracked_mutator(
       MutationParams params, double fm, std::size_t generations, int P);
 

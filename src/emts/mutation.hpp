@@ -20,7 +20,6 @@
 // Resulting allocations are clamped to [1, P].
 
 #include <cstddef>
-#include <vector>
 
 #include "sched/allocation.hpp"
 #include "support/rng.hpp"
@@ -54,15 +53,10 @@ struct MutationParams {
 
 /// Apply the full EMTS operator to `genes` in place for generation u of U:
 /// mutation_count(u, U, fm, V) distinct positions, each adjusted by
-/// sample_allocation_delta and clamped to [1, P]. The single shared
-/// implementation behind both Emts mutators, so the tracked and plain
-/// forms consume identical RNG draws by construction. When `touched` is
-/// non-null every assigned position is appended (a superset of the
-/// actually-changed positions: a clamped delta may land on the old value).
-/// Returns the number of positions assigned.
+/// sample_allocation_delta and clamped to [1, P]. Returns the number of
+/// positions assigned.
 std::size_t mutate_allocation(const MutationParams& params, double fm,
                               std::size_t u, std::size_t U, int P, Rng& rng,
-                              Allocation& genes,
-                              std::vector<TaskId>* touched);
+                              Allocation& genes);
 
 }  // namespace ptgsched

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
 #include "support/rng.hpp"
 #include "support/timer.hpp"
@@ -26,19 +24,16 @@ std::uint64_t allocation_hash(const Allocation& alloc) noexcept {
   return h;
 }
 
-/// Resolve the batch kernel: explicit config wins, then the
-/// PTGSCHED_KERNEL environment variable, then Incremental.
-KernelMode resolve_kernel_mode(const std::optional<KernelMode>& cfg) {
-  if (cfg.has_value()) return *cfg;
-  const char* env = std::getenv("PTGSCHED_KERNEL");
-  if (env == nullptr || *env == '\0') return KernelMode::Incremental;
-  const std::string_view value(env);
-  if (value == "full") return KernelMode::Full;
-  if (value == "incremental") return KernelMode::Incremental;
-  if (value == "batched") return KernelMode::Batched;
-  throw std::invalid_argument(
-      "PTGSCHED_KERNEL must be 'full', 'incremental' or 'batched' (got '" +
-      std::string(value) + "')");
+/// Reject the retired kernel modes, naming the one asked for.
+const EvalEngineConfig& require_full_kernel(const EvalEngineConfig& config) {
+  if (config.kernel.value_or(KernelMode::Full) != KernelMode::Full) {
+    throw std::invalid_argument(
+        std::string("EvaluationEngine: KernelMode::") +
+        (*config.kernel == KernelMode::Incremental ? "Incremental"
+                                                    : "Batched") +
+        " was removed; every evaluation is a full pass");
+  }
+  return config;
 }
 
 }  // namespace
@@ -46,8 +41,7 @@ KernelMode resolve_kernel_mode(const std::optional<KernelMode>& cfg) {
 EvaluationEngine::EvaluationEngine(
     std::shared_ptr<const ProblemInstance> instance,
     ListSchedulerOptions mapping, EvalEngineConfig config)
-    : config_(config),
-      kernel_mode_(resolve_kernel_mode(config.kernel)),
+    : config_(require_full_kernel(config)),
       instance_(std::move(instance)),
       pool_(config.threads == 0 ? 0 : config.threads - 1),
       incumbent_(std::numeric_limits<double>::infinity()),
@@ -132,9 +126,7 @@ EvaluationEngine::MemoProbe EvaluationEngine::memo_probe(
 
 double EvaluationEngine::fitness_for(const Allocation& alloc,
                                      std::size_t slot, double bound,
-                                     bool honor_cancel,
-                                     const EvalTrace* trace,
-                                     std::span<const TaskId> touched) {
+                                     bool honor_cancel) {
   SlotCounters& counters = slot_counters_[slot];
   counters.evaluations.fetch_add(1, std::memory_order_relaxed);
 
@@ -152,13 +144,7 @@ double EvaluationEngine::fitness_for(const Allocation& alloc,
   }
 
   counters.scheduled.fetch_add(1, std::memory_order_relaxed);
-  double makespan;
-  if (trace != nullptr) {
-    counters.delta_scheduled.fetch_add(1, std::memory_order_relaxed);
-    makespan = slots_[slot]->makespan_delta(alloc, touched, *trace, bound);
-  } else {
-    makespan = slots_[slot]->makespan_bounded(alloc, bound);
-  }
+  const double makespan = slots_[slot]->makespan_bounded(alloc, bound);
   // Only exact makespans may be cached: a rejected (+inf) result is an
   // artifact of the current bound, not a property of the allocation. A
   // probe the cold sampler skipped has no key, so it cannot insert.
@@ -166,81 +152,6 @@ double EvaluationEngine::fitness_for(const Allocation& alloc,
     cache_insert(probe.key, alloc, makespan);
   }
   return makespan;
-}
-
-double EvaluationEngine::sibling_fitness(const Allocation& alloc,
-                                         std::span<const TaskId> touched,
-                                         const EvalTrace& trace,
-                                         std::size_t slot, double bound) {
-  SlotCounters& counters = slot_counters_[slot];
-  counters.evaluations.fetch_add(1, std::memory_order_relaxed);
-  if (config_.cancel != nullptr && config_.cancel->cancelled()) {
-    return std::numeric_limits<double>::infinity();
-  }
-  MemoProbe probe;
-  if (config_.memoize) {
-    probe = memo_probe(slot, alloc);
-    if (probe.hit) return probe.value;
-  }
-  counters.scheduled.fetch_add(1, std::memory_order_relaxed);
-  counters.delta_scheduled.fetch_add(1, std::memory_order_relaxed);
-  const double makespan =
-      slots_[slot]->makespan_sibling(alloc, touched, trace, bound);
-  if (config_.memoize && probe.probed && std::isfinite(makespan)) {
-    cache_insert(probe.key, alloc, makespan);
-  }
-  return makespan;
-}
-
-void EvaluationEngine::build_parent_traces(
-    const std::vector<Individual>& pool, std::size_t begin) {
-  trace_parents_.clear();
-  if (traces_.size() < begin) {
-    traces_.resize(begin);
-    trace_epoch_.resize(begin, 0);
-  }
-  ++batch_epoch_;
-  for (std::size_t i = begin; i < pool.size(); ++i) {
-    const std::size_t p = pool[i].parent;
-    if (p >= begin) continue;  // kNoParent or not actually in this pool.
-    if (trace_epoch_[p] != batch_epoch_) {
-      trace_epoch_[p] = batch_epoch_;
-      trace_parents_.push_back(p);
-    }
-  }
-  if (trace_parents_.empty()) return;
-
-  const auto build = [&](std::size_t j, std::size_t slot) {
-    const std::size_t p = trace_parents_[j];
-    EvalTrace& trace = traces_[p];
-    // A surviving parent keeps its trace across generations: traces are a
-    // pure function of the genome, so an already-valid trace whose
-    // recorded allocation matches this slot's genes is this batch's trace
-    // verbatim — the compare is 2 orders of magnitude cheaper than the
-    // traced pass it skips.
-    if (trace.valid && trace.alloc.size() == pool[p].genes.size() &&
-        std::equal(trace.alloc.begin(), trace.alloc.end(),
-                   pool[p].genes.begin())) {
-      return;
-    }
-    trace.valid = false;
-    // On cancellation the batch is discarded anyway; leaving the trace
-    // invalid makes every child fall back to the (also short-circuited)
-    // full path.
-    if (config_.cancel != nullptr && config_.cancel->cancelled()) return;
-    SlotCounters& counters = slot_counters_[slot];
-    counters.trace_builds.fetch_add(1, std::memory_order_relaxed);
-    (void)slots_[slot]->makespan_traced(pool[p].genes, trace);
-  };
-  if (pool_.num_threads() == 0 || trace_parents_.size() == 1) {
-    for (std::size_t j = 0; j < trace_parents_.size(); ++j) build(j, 0);
-  } else {
-    pool_.parallel_for_blocked(
-        trace_parents_.size(), 1,
-        [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-          for (std::size_t j = lo; j < hi; ++j) build(j, slot);
-        });
-  }
 }
 
 void EvaluationEngine::evaluate_batch(std::vector<Individual>& pool,
@@ -252,130 +163,25 @@ void EvaluationEngine::evaluate_batch(std::vector<Individual>& pool,
                            ? incumbent_.load(std::memory_order_relaxed)
                            : std::numeric_limits<double>::infinity();
 
-  // Incremental/Batched kernels, phase 1: one trace per unique in-pool
-  // parent.
-  if (kernel_mode_ != KernelMode::Full) {
-    build_parent_traces(pool, begin);
-  }
-
-  if (kernel_mode_ == KernelMode::Batched) {
-    // Phase 2, batched: whole sibling groups per kernel session.
-    evaluate_sibling_groups(pool, begin, bound);
+  const auto evaluate_child = [&](std::size_t i, std::size_t slot) {
+    Individual& child = pool[begin + i];
+    child.fitness = fitness_for(child.genes, slot, bound, true);
+  };
+  if (pool_.num_threads() == 0) {
+    for (std::size_t i = 0; i < n; ++i) evaluate_child(i, 0);
   } else {
-    // Phase 2: evaluate the children — against their parent's trace when
-    // one was built, as a full pass otherwise. Bit-identical either way.
-    const auto evaluate_child = [&](std::size_t i, std::size_t slot) {
-      Individual& child = pool[begin + i];
-      child.fitness = fitness_for(child.genes, slot, bound, true,
-                                  trace_of(child, begin), child.touched);
-    };
-    if (pool_.num_threads() == 0) {
-      for (std::size_t i = 0; i < n; ++i) evaluate_child(i, 0);
-    } else {
-      // Small blocks keep all workers busy even when rejection bails some
-      // evaluations out early; the slot pins each participant to its own
-      // ListScheduler scratch.
-      const std::size_t grain =
-          std::max<std::size_t>(1, n / (4 * pool_.num_slots()));
-      pool_.parallel_for_blocked(
-          n, grain, [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-            for (std::size_t i = lo; i < hi; ++i) evaluate_child(i, slot);
-          });
-    }
+    // Small blocks keep all workers busy even when rejection bails some
+    // evaluations out early; the slot pins each participant to its own
+    // ListScheduler scratch.
+    const std::size_t grain =
+        std::max<std::size_t>(1, n / (4 * pool_.num_slots()));
+    pool_.parallel_for_blocked(
+        n, grain, [&](std::size_t lo, std::size_t hi, std::size_t slot) {
+          for (std::size_t i = lo; i < hi; ++i) evaluate_child(i, slot);
+        });
   }
   batches_.fetch_add(1, std::memory_order_relaxed);
   eval_seconds_.fetch_add(timer.seconds(), std::memory_order_relaxed);
-}
-
-void EvaluationEngine::evaluate_sibling_groups(std::vector<Individual>& pool,
-                                               std::size_t begin,
-                                               double bound) {
-  const std::size_t n = pool.size() - begin;
-  // Order children by traced parent; children without a usable trace sort
-  // to the back (kLooseGroup). The sort is stable, so in-group and loose
-  // evaluation order is pool order — not that order matters for results
-  // (every fitness is a pure function of the allocation and bound), but
-  // determinism here keeps stats and scheduling reproducible per thread
-  // count.
-  // The key space is tiny (parents live below `begin`), so a stable
-  // counting sort replaces the comparator sort: keys are computed once per
-  // child instead of once per comparison, and placement is a single
-  // counting pass. Loose children take the one-past-the-parents bucket.
-  group_keys_.resize(n);
-  group_bins_.assign(begin + 2, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Individual& child = pool[begin + i];
-    const std::size_t key =
-        trace_of(child, begin) != nullptr ? child.parent : kLooseGroup;
-    group_keys_[i] = key;
-    ++group_bins_[(key == kLooseGroup ? begin : key) + 1];
-  }
-  for (std::size_t b = 1; b < group_bins_.size(); ++b) {
-    group_bins_[b] += group_bins_[b - 1];
-  }
-  group_order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t key = group_keys_[i];
-    group_order_[group_bins_[key == kLooseGroup ? begin : key]++] =
-        static_cast<std::uint32_t>(i);
-  }
-  const auto parent_key = [&](std::uint32_t i) { return group_keys_[i]; };
-
-  // Carve contiguous sibling groups, chunked by config.sibling_batch so
-  // the bench sweep can bound the per-session amortization. Loose
-  // children become single-child groups on the plain path.
-  sibling_groups_.clear();
-  std::size_t i = 0;
-  while (i < n) {
-    const std::size_t key = parent_key(group_order_[i]);
-    std::size_t j = i + 1;
-    if (key != kLooseGroup) {
-      while (j < n && parent_key(group_order_[j]) == key) ++j;
-    }
-    const std::size_t chunk =
-        (key == kLooseGroup || config_.sibling_batch == 0)
-            ? j - i
-            : config_.sibling_batch;
-    for (std::size_t lo = i; lo < j; lo += chunk) {
-      sibling_groups_.push_back({key, static_cast<std::uint32_t>(lo),
-                                 static_cast<std::uint32_t>(
-                                     std::min(j, lo + chunk))});
-    }
-    i = j;
-  }
-
-  const auto run_group = [&](std::size_t g, std::size_t slot) {
-    const SiblingGroup& grp = sibling_groups_[g];
-    if (grp.parent == kLooseGroup) {
-      Individual& child = pool[begin + group_order_[grp.lo]];
-      child.fitness = fitness_for(child.genes, slot, bound, true, nullptr,
-                                  child.touched);
-      return;
-    }
-    const EvalTrace& trace = traces_[grp.parent];
-    if (slots_[slot]->begin_sibling_batch(trace)) {
-      slot_counters_[slot].sibling_batches.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-    for (std::uint32_t k = grp.lo; k < grp.hi; ++k) {
-      Individual& child = pool[begin + group_order_[k]];
-      child.fitness =
-          sibling_fitness(child.genes, child.touched, trace, slot, bound);
-    }
-  };
-  if (pool_.num_threads() == 0) {
-    for (std::size_t g = 0; g < sibling_groups_.size(); ++g) {
-      run_group(g, 0);
-    }
-  } else {
-    // Grain 1: groups are coarse already (one per parent per chunk), and
-    // rejection imbalance rebalances across workers.
-    pool_.parallel_for_blocked(
-        sibling_groups_.size(), 1,
-        [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-          for (std::size_t g = lo; g < hi; ++g) run_group(g, slot);
-        });
-  }
 }
 
 void EvaluationEngine::on_selection(std::size_t /*generation*/,
@@ -412,9 +218,6 @@ EvalStats EvaluationEngine::stats() const {
     s.cache_hits += c.cache_hits.load(std::memory_order_relaxed);
     s.cache_misses += c.cache_misses.load(std::memory_order_relaxed);
     s.cache_skipped += c.cache_skipped.load(std::memory_order_relaxed);
-    s.trace_builds += c.trace_builds.load(std::memory_order_relaxed);
-    s.delta_scheduled += c.delta_scheduled.load(std::memory_order_relaxed);
-    s.sibling_batches += c.sibling_batches.load(std::memory_order_relaxed);
   }
   for (const auto& sched : slots_) s.rejections += sched->rejected_count();
   s.batches = batches_.load(std::memory_order_relaxed);
@@ -430,9 +233,6 @@ void EvaluationEngine::reset_stats() {
     c.cache_hits.store(0, std::memory_order_relaxed);
     c.cache_misses.store(0, std::memory_order_relaxed);
     c.cache_skipped.store(0, std::memory_order_relaxed);
-    c.trace_builds.store(0, std::memory_order_relaxed);
-    c.delta_scheduled.store(0, std::memory_order_relaxed);
-    c.sibling_batches.store(0, std::memory_order_relaxed);
     // memo_state_ is deliberately NOT reset: the cold-probe sampler is
     // adaptive state mirroring the memo cache (which reset_stats also
     // keeps), not telemetry — and its fields are non-atomic, owned by the

@@ -17,8 +17,7 @@ std::vector<MappingLane> make_lanes(const ProblemInstance& instance) {
   if (!instance.heterogeneous()) {
     return {MappingLane{instance.num_processors(), 0}};
   }
-  // Heterogeneous mode: one lane per processor, so a gene names a lane and
-  // every kernel mechanism (snapshots, certification, replay) transfers.
+  // Heterogeneous mode: one lane per processor, so a gene names a lane.
   std::vector<MappingLane> lanes;
   lanes.reserve(static_cast<std::size_t>(instance.num_processors()));
   for (int j = 0; j < instance.num_processors(); ++j) {
@@ -67,7 +66,6 @@ Schedule ListScheduler::build_schedule(const Allocation& alloc) {
 }
 
 void ListScheduler::load_times(const Allocation& alloc) {
-  batch_valid_ = false;  // times_ stops describing a batch parent.
   validate_allocation(alloc, instance_->graph(), instance_->cluster());
   const std::size_t n = instance_->num_tasks();
   const auto stride = static_cast<std::size_t>(instance_->num_processors());
@@ -85,98 +83,6 @@ double ListScheduler::run(const Allocation& alloc, Schedule* out,
   return with_place(alloc, [&](const auto& place) {
     return core_.run(times_, options_.selection, upper_bound, out, place);
   });
-}
-
-double ListScheduler::makespan_traced(const Allocation& alloc,
-                                      EvalTrace& trace) {
-  load_times(alloc);
-  trace.alloc.assign(alloc.begin(), alloc.end());
-  return with_place(alloc, [&](const auto& place) {
-    return core_.run_traced(times_, options_.selection, place, trace);
-  });
-}
-
-double ListScheduler::makespan_delta(const Allocation& alloc,
-                                     std::span<const TaskId> touched,
-                                     const EvalTrace& parent,
-                                     double upper_bound) {
-  if (!parent.valid || parent.alloc.size() != alloc.size() ||
-      parent.alloc.size() != instance_->num_tasks()) {
-    return run(alloc, nullptr, upper_bound);
-  }
-  load_times(alloc);
-  // A task's pass behavior depends on its allocation alone (the requested
-  // size — or processor, in heterogeneous mode — and, through the time
-  // table, its execution time), so the change set is exactly the touched
-  // genes that actually differ from the parent.
-  changed_.clear();
-  for (const TaskId v : touched) {
-    if (v < alloc.size() && alloc[v] != parent.alloc[v]) {
-      changed_.push_back(v);
-    }
-  }
-  return with_place(alloc, [&](const auto& place) {
-    return core_.run_delta(times_, changed_, parent, options_.selection,
-                           upper_bound, place);
-  });
-}
-
-bool ListScheduler::begin_sibling_batch(const EvalTrace& parent) {
-  const std::size_t n = instance_->num_tasks();
-  batch_valid_ = parent.valid && parent.alloc.size() == n &&
-                 parent.times.size() == n && parent.bl.size() == n;
-  if (!batch_valid_) return false;
-  // The session baseline: times_ (and, in comm mode, lane_of_) holds the
-  // parent's state, the kernel holds its bottom levels. Each sibling
-  // stages and un-stages only its own changed genes on top.
-  std::copy(parent.times.begin(), parent.times.end(), times_.begin());
-  if (!lane_of_.empty()) {
-    for (TaskId v = 0; v < n; ++v) lane_of_[v] = parent.alloc[v] - 1;
-  }
-  core_.begin_sibling_batch(parent);
-  return true;
-}
-
-double ListScheduler::makespan_sibling(const Allocation& alloc,
-                                       std::span<const TaskId> touched,
-                                       const EvalTrace& parent,
-                                       double upper_bound) {
-  if (!batch_valid_) {
-    // No usable trace (begin_sibling_batch said so): bit-identical full
-    // pass, mirroring makespan_delta's fallback.
-    return run(alloc, nullptr, upper_bound);
-  }
-  const std::size_t n = instance_->num_tasks();
-  if (alloc.size() != n) {
-    throw std::invalid_argument(
-        "ListScheduler::makespan_sibling: allocation size mismatch");
-  }
-  const int procs = instance_->num_processors();
-  changed_.clear();
-  for (const TaskId v : touched) {
-    if (v < n && alloc[v] != parent.alloc[v]) changed_.push_back(v);
-  }
-  // Stage this sibling's times sparsely over the parent's. Unchanged
-  // genes keep the parent's (already validated) value by the `touched`
-  // contract, so only the changed genes are checked and loaded.
-  const auto stride = static_cast<std::size_t>(procs);
-  for (const TaskId v : changed_) {
-    if (alloc[v] < 1 || alloc[v] > procs) {
-      throw std::invalid_argument(
-          "ListScheduler::makespan_sibling: allocation entry out of range");
-    }
-    times_[v] = table_[v * stride + static_cast<std::size_t>(alloc[v] - 1)];
-    if (!lane_of_.empty()) lane_of_[v] = alloc[v] - 1;
-  }
-  const double r = with_place(alloc, [&](const auto& place) {
-    return core_.run_sibling(times_, changed_, parent, options_.selection,
-                             upper_bound, place);
-  });
-  for (const TaskId v : changed_) {
-    times_[v] = parent.times[v];
-    if (!lane_of_.empty()) lane_of_[v] = parent.alloc[v] - 1;
-  }
-  return r;
 }
 
 Schedule map_allocation(const Ptg& g, const Allocation& alloc,

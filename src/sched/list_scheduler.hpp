@@ -12,9 +12,7 @@
 // V log V) with zero heap allocations after warm-up. The ready-queue and
 // availability logic itself lives in MappingKernel (shared with the
 // multi-cluster scheduler); the processor-selection policies
-// (EarliestAvailable / BestFit, ablation EXP-A3) and the incremental
-// (trace/delta) machinery behind makespan_traced()/makespan_delta() are
-// documented there.
+// (EarliestAvailable / BestFit, ablation EXP-A3) are documented there.
 //
 // Heterogeneous mode (DESIGN.md §14). When the instance's Cluster carries
 // per-processor speeds or link costs, the same Allocation genome is
@@ -24,12 +22,10 @@
 // lanes, durations come from the per-(task, processor) table, and — when a
 // cost matrix is present — the kernel charges link costs on successor
 // edges through a comm context fed by the lane_of_ buffer kept current
-// here. Every incremental path (traces, deltas, sibling batches) works in
-// both modes.
+// here.
 
 #include <limits>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "core/problem_instance.hpp"
@@ -71,48 +67,6 @@ class ListScheduler {
   [[nodiscard]] double makespan_bounded(const Allocation& alloc,
                                         double upper_bound);
 
-  /// Exact makespan of `alloc` that additionally records `trace` — a
-  /// reusable snapshot of the whole pass — so later makespan_delta() calls
-  /// can evaluate mutants of `alloc` incrementally. Unbounded by design (a
-  /// trace must describe a complete pass). `trace` is overwritten; its
-  /// buffers are reused across calls, so steady-state trace building does
-  /// not allocate.
-  [[nodiscard]] double makespan_traced(const Allocation& alloc,
-                                       EvalTrace& trace);
-
-  /// Incremental fitness: the makespan of `alloc`, a mutant of the traced
-  /// parent allocation, computed by resuming the parent's pass just before
-  /// its first divergent decision. `touched` lists the gene positions the
-  /// mutation assigned — a superset of the actually-changed positions is
-  /// fine (unchanged listed genes are filtered here); positions NOT listed
-  /// must be identical to the parent's. Bit-identical to
-  /// makespan_bounded(alloc, upper_bound) in value AND rejection count.
-  /// Falls back to the full pass when the trace is missing or shaped for a
-  /// different problem.
-  [[nodiscard]] double makespan_delta(
-      const Allocation& alloc, std::span<const TaskId> touched,
-      const EvalTrace& parent,
-      double upper_bound = std::numeric_limits<double>::infinity());
-
-  /// Open a batched lockstep session over siblings of the traced parent
-  /// allocation (PTGSCHED_KERNEL=batched): loads the parent's per-task
-  /// times and bottom levels once so each makespan_sibling() call stages
-  /// only its own changed genes — O(|changed|) instead of the O(n)
-  /// validate + time reload the per-mutant delta path pays. Returns false
-  /// (and makespan_sibling falls back to full passes) when the trace is
-  /// missing or shaped for a different problem. Any non-sibling
-  /// evaluation on this scheduler closes the session.
-  bool begin_sibling_batch(const EvalTrace& parent);
-
-  /// Makespan of one sibling of the open session's parent. Same contract
-  /// as makespan_delta — bit-identical to makespan_bounded(alloc,
-  /// upper_bound) in value AND rejection count; gene positions not listed
-  /// in `touched` must equal the parent's.
-  [[nodiscard]] double makespan_sibling(
-      const Allocation& alloc, std::span<const TaskId> touched,
-      const EvalTrace& parent,
-      double upper_bound = std::numeric_limits<double>::infinity());
-
   /// Number of makespan_bounded() calls rejected early since construction
   /// or the last reset_stats().
   [[nodiscard]] std::size_t rejected_count() const noexcept {
@@ -138,12 +92,6 @@ class ListScheduler {
     return instance_->model();
   }
 
-  /// The underlying kernel, for telemetry (delta_*_count) and the
-  /// profitability-gate tests; the scheduler remains the only driver.
-  [[nodiscard]] const MappingKernel& kernel() const noexcept {
-    return core_;
-  }
-
   /// Whether this scheduler interprets genes as processors (heterogeneous
   /// cluster) rather than moldable widths.
   [[nodiscard]] bool heterogeneous() const noexcept { return hetero_; }
@@ -158,8 +106,8 @@ class ListScheduler {
   /// Invoke `fn` with the placement functor for the current mode: the
   /// moldable one (single lane, gene = width) or the heterogeneous one
   /// (gene = processor index, one-processor lanes). A generic callback
-  /// instead of a branch per pop: each kernel entry point is instantiated
-  /// once per functor type, so both modes keep a branch-free hot loop.
+  /// instead of a branch per pop: the kernel pass is instantiated once
+  /// per functor type, so both modes keep a branch-free hot loop.
   template <typename Fn>
   double with_place(const Allocation& alloc, Fn&& fn) {
     if (hetero_) {
@@ -190,16 +138,12 @@ class ListScheduler {
   /// proc_time_table() (per processor) in heterogeneous mode; both are
   /// indexed table_[v * P + alloc[v] - 1].
   const double* table_ = nullptr;
-  std::vector<double> times_;      ///< Per-task times under the allocation.
-  std::vector<TaskId> changed_;    ///< makespan_delta scratch.
+  std::vector<double> times_;  ///< Per-task times under the allocation.
   /// Comm mode only (heterogeneous cluster with a cost matrix): the lane
   /// (processor) of every task under the allocation being evaluated. The
   /// kernel's comm context reads this buffer when charging edge costs, so
-  /// every path that stages times_ also stages lane_of_.
+  /// load_times stages it together with times_.
   std::vector<int> lane_of_;
-  /// True while times_ holds an open sibling-batch parent's times (any
-  /// full-path evaluation clears it via load_times).
-  bool batch_valid_ = false;
 };
 
 /// One-shot convenience wrapper.

@@ -11,18 +11,12 @@ void MappingKernel::State<Idx>::init(const ProblemInstance& pi) {
   const auto narrow = [](TaskId v) { return static_cast<Idx>(v); };
 
   topo.resize(n);
-  topo_pos.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     topo[i] = narrow(pi.topo_order()[i]);
-    topo_pos[i] = static_cast<Idx>(pi.topo_positions()[i]);
   }
   succ_adj.resize(pi.succ_adjacency().size());
   for (std::size_t e = 0; e < succ_adj.size(); ++e) {
     succ_adj[e] = narrow(pi.succ_adjacency()[e]);
-  }
-  pred_adj.resize(pi.pred_adjacency().size());
-  for (std::size_t e = 0; e < pred_adj.size(); ++e) {
-    pred_adj[e] = narrow(pi.pred_adjacency()[e]);
   }
   in_degree.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
@@ -35,17 +29,8 @@ void MappingKernel::State<Idx>::init(const ProblemInstance& pi) {
   }
 
   // Scratch, sized once here so passes never allocate.
-  epoch = 0;
-  key_epoch = 0;
   waiting.resize(n);
-  mark.assign(n, 0);
   ready.reserve(n);
-  worklist.reserve(n);
-  restore.reserve(n);
-  bl_changed.reserve(n);
-  order_mark.assign(n, 0);
-  order_dirty.reserve(2 * n);
-  key_mark.assign(n, 0);
 }
 
 template struct MappingKernel::State<std::uint16_t>;
@@ -53,13 +38,12 @@ template struct MappingKernel::State<std::uint32_t>;
 
 MappingKernel::MappingKernel(const ProblemInstance& instance,
                              std::vector<MappingLane> lanes)
-    : instance_(&instance), lanes_(std::move(lanes)) {
+    : lanes_(std::move(lanes)) {
   if (lanes_.empty()) {
     throw std::invalid_argument("MappingKernel: no lanes");
   }
   n_ = instance.num_tasks();
   succ_off_ = instance.succ_offsets().data();
-  pred_off_ = instance.pred_offsets().data();
 
   lane_off_.assign(lanes_.size() + 1, 0);
   std::size_t max_procs = 0;
@@ -82,11 +66,6 @@ MappingKernel::MappingKernel(const ProblemInstance& instance,
   proc_order_.reserve(max_procs);
   bl_.assign(n_, 0.0);
   data_ready_.assign(n_, 0.0);
-
-  // Snapshot spacing: sqrt-ish growth keeps the per-trace snapshot volume
-  // (n / K snapshots of O(n + P) doubles each) linear-ish in n while a
-  // resume still skips all but the last K pops of the shared prefix.
-  checkpoint_interval_ = std::max<std::size_t>(8, n_ / 12);
 
   if (n_ <= UINT16_MAX) {
     state_.emplace<State<std::uint16_t>>().init(instance);

@@ -13,125 +13,40 @@
 //   * flat per-task arrays for bottom level, data-ready time and
 //     waiting-predecessor counts — no per-evaluation allocation, all
 //     scratch sized once at construction;
-//   * CSR successor/predecessor iteration from the ProblemInstance's dense
-//     derived data, with adjacency ids narrowed to the smallest capable
-//     index type (State<uint16_t> for graphs up to 65535 tasks,
-//     State<uint32_t> beyond — selected once at construction);
+//   * CSR successor iteration from the ProblemInstance's dense derived
+//     data, with adjacency ids narrowed to the smallest capable index type
+//     (State<uint16_t> for graphs up to 65535 tasks, State<uint32_t>
+//     beyond — selected once at construction);
 //   * a 4-ary max-heap for the ready queue (keys inline, half the tree
 //     depth of the std::push_heap binary heap it replaces);
 //   * per-lane processor availability kept as a *sorted* array of free
 //     times, making earliest_start an O(1) read and occupy a single
-//     upper_bound + memmove. On the value path only the multiset of free
+//     rank search + memmove. On the value path only the multiset of free
 //     times matters, so this is bit-identical to the old O(P)
-//     nth_element selection (see ReferenceMapper, the preserved oracle).
+//     nth_element selection (see ReferenceMapper in tests/common, the
+//     preserved oracle). Each lane's sorted free times live in a sliding
+//     window inside a slack region (kAvailSlackFactor x P), so occupy's
+//     remove-front / insert-mid update moves the cheaper side only.
 //
-// Two execution paths with bit-identical makespans, as before:
+// Two execution paths with bit-identical makespans:
 //   * value path (no Schedule requested): availability is the sorted
 //     multiset above — the fitness fast path;
 //   * placement path (Schedule requested): processors are chosen by the
 //     deterministic (available time, index) order, exactly as published.
 //
-// Incremental (delta) evaluation. run_traced() additionally records an
-// EvalTrace: per-task times, bottom levels, the full pop order (and its
-// inverse), per-task start times, the pop count at which each task entered
-// the ready queue (`ready_pos`), and periodic snapshots of the dynamic
-// state. run_delta() then evaluates a mutant against its parent's trace:
-// it patches the parent's bottom levels (worklist over the changed tasks
-// in decreasing topological position), certifies the longest prefix of the
-// parent's pop order that the child pass must reproduce bit for bit,
-// restores the latest snapshot inside that prefix, and resumes from there.
-//
-// Why the certified prefix is exact. The pop order is a pure function of
-// the bottom levels and the graph: a task becomes ready when its last
-// predecessor is POPPED (a counting event, not a clock event), and each
-// pop takes the (bl desc, id asc)-max of the ready set — start/finish
-// times never steer it. Execution times, in turn, differ from the parent
-// only at the alloc-changed tasks themselves (bottom levels of their
-// ancestors move, durations do not). So with
-//
-//   R_cap = min over alloc-changed tasks of the parent pop position, and
-//   C     = tasks whose patched bottom level differs from the parent's,
-//
-// the child's pops before R_cap pop the recorded tasks with recorded
-// durations and placements — identical lane availability, data-ready and
-// makespan — PROVIDED the new keys of C do not reorder the recorded
-// sequence. That is certified pairwise: for each v in C, every recorded
-// pop made while v sat in the ready queue must still beat v under the new
-// keys, and if v's own key decreased, v must still beat everything that
-// was ready at its own pop. The first position where a check fails (or
-// R_cap) becomes the resume point R; any snapshot at pop <= R is then a
-// correct child state. Bounded (rejection) passes stay exact because the
-// skipped prefix's max of start + patched bl is recomputed from the
-// recorded pop order and start times: if it exceeds the bound, the full
-// pass would have rejected inside the prefix; the resumed suffix re-checks
-// live.
-//
-// Batched lockstep evaluation (PTGSCHED_KERNEL=batched). A (mu+lambda) ES
-// hands the engine lambda mutants of mu parents per generation, so most
-// evaluations are *siblings*: mutants of one traced parent. The batch
-// session (begin_sibling_batch / run_sibling) evaluates a whole sibling
-// group against one trace and amortizes everything the per-mutant
-// run_delta path re-does k times over:
-//
-//   * the parent's bottom levels are loaded ONCE per group; each sibling
-//     patches them sparsely and undoes the patch on exit (the per-mutant
-//     O(n) copy disappears);
-//   * certification runs UNCAPPED: because the pop order is a pure
-//     function of the bottom levels and the graph (readiness is a
-//     counting event and each pop takes the key-max of the ready set —
-//     start/finish times never steer it), certifying the *whole* recorded
-//     sequence, not just the prefix before the first alloc-changed pop,
-//     is sound. When it succeeds the sibling's entire pop sequence IS the
-//     parent's, and the pass runs in *replay mode*: a heap-free loop over
-//     the recorded pop order that only carries availability and
-//     data-ready state — no ready queue, no waiting counters, and a
-//     restore that touches avail + data_ready only. Deep-resume mutants
-//     (alloc changes popping early) no longer fall back to a full pass:
-//     replay from the first snapshot still beats the heap drive;
-//   * siblings that fail whole-sequence certification drive with a heap
-//     but track their divergence from the recorded order as a symmetric
-//     difference (resync_drive): once the popped multisets match and
-//     every moved-key task has popped, the remaining sequence provably IS
-//     the parent's suffix and the pass downgrades to the heap-free
-//     replay loop mid-flight — on the replay workload ~99% of resumed
-//     siblings re-sync after a few dozen heap pops;
-//   * the hard `resume < max(interval, n/4)` profitability gate is
-//     replaced by a deterministic cost model (delta_profitable) over
-//     skipped pops, restore volume and ready-heap churn, calibrated on
-//     bench/micro_kernels (constants documented at the definition);
-//   * the inner availability scans of the value path (occupy_value) use
-//     a branch-free counting scan over the lane's processor-contiguous
-//     sorted free times, which auto-vectorizes (and has an explicit
-//     AVX2 path behind PTGSCHED_SIMD); bit-identical to the
-//     std::upper_bound it replaces because the array is sorted. Each
-//     lane's sorted free times live in a sliding window inside a slack
-//     region (kAvailSlackFactor x P), so occupy's remove-front /
-//     insert-mid update moves the cheaper side only, and the insertion
-//     rank comes from a branchless binary search.
-//
-// Bit-identity is by construction: every batched sibling takes either the
-// certified replay, the certified-prefix heap resume, or the full pass —
-// all three provably compute the same floating-point operation sequence
-// on the same operands (see the certification argument above), and the
-// whole matrix is pinned by tests against the ReferenceMapper oracle.
+// Every fitness is one complete pass. Incremental (certified-prefix
+// delta) and sibling-lockstep passes were measured and retired: under
+// EMTS's mutation of floor((1 - u/U) * 0.33 * V) genes per child they
+// cost more than they saved (DESIGN.md §11.2).
 //
 // Heterogeneous mode (DESIGN.md §14). On a heterogeneous Cluster the
 // driver (ListScheduler) builds the kernel with P one-processor lanes and
 // interprets each gene as a processor index; durations come from the
-// per-(task, processor) table, so every mechanism above — checkpoints,
-// certification, replay, re-sync — transfers unchanged. Link costs enter
-// through exactly one point: the successor data-ready update charges
-// comm(lane(v), lane(w)) on each edge. That hook is compiled in only when
-// a comm context is set (set_comm_context; the kComm template flag below),
-// so the homogeneous hot loop is byte-identical to the pre-hetero kernel.
-// Certification stays sound with link costs because the pop order is a
-// pure function of the bottom levels and the graph — comm only shifts
-// data-ready and start times, which never steer pops. The one repair comm
-// mode needs: a restored snapshot's data-ready values for the
-// alloc-changed tasks embed link costs toward their PARENT lanes, so
-// after every restore the kernel recomputes them toward the child lanes
-// from the recorded prefix (fixup_comm_data_ready; exact because every
-// predecessor popped before the snapshot is provably unchanged).
+// per-(task, processor) table. Link costs enter through exactly one
+// point: the successor data-ready update charges comm(lane(v), lane(w))
+// on each edge. That hook is compiled in only when a comm context is set
+// (set_comm_context; the kComm template flag below), so the homogeneous
+// hot loop is byte-identical to the pre-hetero kernel.
 //
 // Processor-selection policies (ablation EXP-A3):
 //   * EarliestAvailable — take the s(v) processors that free up first;
@@ -140,12 +55,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <span>
-#include <stdexcept>
 #include <variant>
 #include <vector>
 
@@ -169,41 +82,6 @@ struct MappingLane {
   /// Global index of the lane's first processor (0 for a single cluster;
   /// MultiClusterPlatform::first_processor(k) for lane k).
   int first_processor = 0;
-};
-
-/// Reusable record of one full (unbounded) value-path pass, consumed by
-/// MappingKernel::run_delta to evaluate mutants incrementally. Traces are
-/// portable between kernels of identical shape (same instance, same
-/// lanes) — the evaluation engine builds them on one slot and reads them
-/// from all. `alloc` is not interpreted by the kernel; callers that key
-/// their change detection off genes (ListScheduler) stash them here.
-struct EvalTrace {
-  /// Snapshot of the dynamic state before pop `pops` of the parent pass.
-  struct Checkpoint {
-    std::uint32_t pops = 0;
-    double makespan = 0.0;  ///< Max finish over the pops before this one.
-    std::vector<double> avail;       ///< Concatenated sorted availability.
-    std::vector<double> data_ready;
-    std::vector<std::uint32_t> waiting;
-    std::vector<std::uint32_t> ready;  ///< Ready-queue task ids (unordered).
-  };
-
-  bool valid = false;
-  std::vector<int> alloc;    ///< Caller-owned context (see above).
-  std::vector<double> times; ///< Per-task priority times of the pass.
-  std::vector<double> bl;    ///< Bottom levels under `times`.
-  /// Pop count at which each task entered the ready queue (sources: 0).
-  std::vector<std::uint32_t> ready_pos;
-  std::vector<std::uint32_t> pop_order;  ///< Task popped at position i.
-  std::vector<std::uint32_t> pop_pos;    ///< Inverse of pop_order.
-  std::vector<double> start;             ///< Per-task start times.
-  double makespan = 0.0;
-  double total_pressure = 0.0;  ///< Max start + bl over the whole pass.
-  /// checkpoints[0 .. num_checkpoints) are live; the vector keeps its
-  /// capacity across rebuilds so steady-state trace building allocates
-  /// nothing.
-  std::vector<Checkpoint> checkpoints;
-  std::size_t num_checkpoints = 0;
 };
 
 class MappingKernel {
@@ -246,127 +124,14 @@ class MappingKernel {
   double run(std::span<const double> priority_times,
              ProcessorSelection selection, double upper_bound, Schedule* out,
              const PlaceFn& place) {
-    batch_parent_ = nullptr;
     return std::visit(
         [&](auto& st) {
           compute_bottom_levels(st, priority_times);
           reset_dynamic_state(st, out != nullptr);
           if (comm_ != nullptr) {
-            return drive<false, true>(st, selection, upper_bound, out, place,
-                                      nullptr, 0, 0.0, 0.0);
+            return drive<true>(st, selection, upper_bound, out, place);
           }
-          return drive<false, false>(st, selection, upper_bound, out, place,
-                                     nullptr, 0, 0.0, 0.0);
-        },
-        state_);
-  }
-
-  /// Full unbounded value-path pass that also records `trace` for later
-  /// run_delta calls. Returns the exact makespan (never rejects: a trace
-  /// must describe the complete pass).
-  template <typename PlaceFn>
-  double run_traced(std::span<const double> priority_times,
-                    ProcessorSelection selection, const PlaceFn& place,
-                    EvalTrace& trace) {
-    batch_parent_ = nullptr;
-    return std::visit(
-        [&](auto& st) {
-          trace.valid = false;
-          trace.num_checkpoints = 0;
-          trace.times.assign(priority_times.begin(), priority_times.end());
-          trace.ready_pos.assign(n_, 0);
-          trace.pop_order.assign(n_, 0);
-          trace.pop_pos.assign(n_, 0);
-          trace.start.assign(n_, 0.0);
-          compute_bottom_levels(st, priority_times);
-          trace.bl.assign(bl_.begin(), bl_.end());
-          reset_dynamic_state(st, false);
-          if (comm_ != nullptr) {
-            return drive<true, true>(st, selection,
-                                     std::numeric_limits<double>::infinity(),
-                                     nullptr, place, &trace, 0, 0.0, 0.0);
-          }
-          return drive<true, false>(st, selection,
-                                    std::numeric_limits<double>::infinity(),
-                                    nullptr, place, &trace, 0, 0.0, 0.0);
-        },
-        state_);
-  }
-
-  /// Incremental value-path pass: the makespan of a mutant whose placement
-  /// inputs differ from the traced parent pass only at the tasks listed in
-  /// `changed` (duplicates allowed; a superset is fine as long as every
-  /// task NOT listed has identical priority time and identical placement
-  /// behavior). Bit-identical to run(priority_times, ..., upper_bound,
-  /// nullptr, place), including the rejection semantics: exactly one
-  /// rejection is counted iff the full bounded pass would reject.
-  template <typename PlaceFn>
-  double run_delta(std::span<const double> priority_times,
-                   std::span<const TaskId> changed, const EvalTrace& parent,
-                   ProcessorSelection selection, double upper_bound,
-                   const PlaceFn& place) {
-    if (!parent.valid || parent.bl.size() != n_ ||
-        parent.ready_pos.size() != n_ || parent.pop_order.size() != n_ ||
-        (n_ > 0 && parent.num_checkpoints == 0)) {
-      throw std::invalid_argument(
-          "MappingKernel::run_delta: trace does not match this kernel");
-    }
-    batch_parent_ = nullptr;
-    return std::visit(
-        [&](auto& st) {
-          if (comm_ != nullptr) {
-            return delta_impl<true>(st, priority_times, changed, parent,
-                                    selection, upper_bound, place);
-          }
-          return delta_impl<false>(st, priority_times, changed, parent,
-                                   selection, upper_bound, place);
-        },
-        state_);
-  }
-
-  /// Open a batched lockstep session over siblings of `parent`: the
-  /// parent's bottom levels are loaded ONCE, so each run_sibling() call
-  /// only patches (and afterwards un-patches) the levels its own genes
-  /// move instead of paying the per-mutant O(n) copy. Any other pass on
-  /// this kernel (run / run_traced / run_delta) closes the session;
-  /// re-open before the next run_sibling.
-  void begin_sibling_batch(const EvalTrace& parent) {
-    if (!parent.valid || parent.bl.size() != n_ ||
-        parent.ready_pos.size() != n_ || parent.pop_order.size() != n_ ||
-        (n_ > 0 && parent.num_checkpoints == 0)) {
-      throw std::invalid_argument(
-          "MappingKernel::begin_sibling_batch: trace does not match this "
-          "kernel");
-    }
-    std::copy(parent.bl.begin(), parent.bl.end(), bl_.begin());
-    batch_parent_ = &parent;
-  }
-
-  /// Evaluate one sibling of the session's parent. Same contract as
-  /// run_delta — bit-identical to the full bounded pass, one rejection
-  /// counted iff the full pass would reject — but on top of the shared
-  /// session state it certifies the WHOLE recorded pop order (not just
-  /// the prefix before the first alloc-changed pop) and, when that
-  /// succeeds, runs heap-free replay of the parent's order (see the file
-  /// comment). Requires an open begin_sibling_batch(parent) session;
-  /// `place` must not throw (the bottom-level un-patch runs after it).
-  template <typename PlaceFn>
-  double run_sibling(std::span<const double> priority_times,
-                     std::span<const TaskId> changed, const EvalTrace& parent,
-                     ProcessorSelection selection, double upper_bound,
-                     const PlaceFn& place) {
-    if (batch_parent_ != &parent) {
-      throw std::invalid_argument(
-          "MappingKernel::run_sibling: no open batch session for this trace");
-    }
-    return std::visit(
-        [&](auto& st) {
-          if (comm_ != nullptr) {
-            return sibling_impl<true>(st, priority_times, changed, parent,
-                                      selection, upper_bound, place);
-          }
-          return sibling_impl<false>(st, priority_times, changed, parent,
-                                     selection, upper_bound, place);
+          return drive<false>(st, selection, upper_bound, out, place);
         },
         state_);
   }
@@ -376,8 +141,7 @@ class MappingKernel {
   /// lane, and `task_lane[v]` is the lane every placement for task v will
   /// name — the driver keeps the buffer current across passes (the kernel
   /// reads it when charging edge costs toward successors). Both pointers
-  /// must stay valid until cleared. Traces record comm-shifted times, so
-  /// they are only portable between kernels holding the same context.
+  /// must stay valid until cleared.
   void set_comm_context(const double* comm, std::size_t stride,
                         const int* task_lane) noexcept {
     comm_ = comm;
@@ -391,52 +155,6 @@ class MappingKernel {
   }
   /// True when a communication context is installed (the kComm paths run).
   [[nodiscard]] bool comm_active() const noexcept { return comm_ != nullptr; }
-
-  // --- Cost model for the delta-vs-full decision. Perf only, never
-  // correctness: every branch is bit-identical, the model just picks the
-  // cheap one. Unit: one heap-driven pop (~70ns single-threaded on the
-  // BENCH_6 config). Calibrated on bench/micro_kernels BM_FitnessDelta*
-  // sweeps (100-task corpus, P=120); see DESIGN.md §13.
-  static constexpr double kReplayPopCost = 0.45;   ///< Replay pop / heap pop.
-  static constexpr double kRestorePerItem = 0.02;  ///< Snapshot double copy.
-  static constexpr double kResetPerItem = 0.02;    ///< reset_dynamic_state.
-  static constexpr double kFullBlPops = 0.15;  ///< compute_bottom_levels /n.
-  /// Expected bottom-level patch + certification volume per task, charged
-  /// by run_delta which gates BEFORE doing that work (the batch path gates
-  /// after it, when the cost is sunk, and charges 0).
-  static constexpr double kPatchCertifyPops = 0.30;
-  /// Cap on pairwise certification volume, per task: a pathological
-  /// bl_changed set (many moved keys with long ready-queue residence)
-  /// could scan O(n * |changed|) pairs; past this budget the batch path
-  /// falls back to the full pass instead of finishing the proof.
-  static constexpr std::size_t kCertifyBudgetPerTask = 16;
-
-  /// Deterministic profitability gate shared by the incremental paths:
-  /// true when restoring a snapshot taken at `skipped_pops` and driving
-  /// the remaining pops (heap resume, or heap-free replay when `replay`)
-  /// is estimated cheaper than a full pass. `ready_size` is the snapshot's
-  /// ready-queue size (heap rebuild churn); `pending_overhead_pops`
-  /// charges work the caller has not yet done at decision time. Public so
-  /// the gate boundary is pinned by regression tests.
-  [[nodiscard]] bool delta_profitable(
-      std::size_t skipped_pops, bool replay, std::size_t ready_size,
-      double pending_overhead_pops) const noexcept {
-    const double n = static_cast<double>(n_);
-    const double procs = static_cast<double>(lane_off_.back());
-    const double remaining = n - static_cast<double>(skipped_pops);
-    // Replay restores avail + data_ready only; a heap resume additionally
-    // rebuilds waiting counts and the ready heap (~4 copied/heapified
-    // items per ready entry).
-    const double restore_items =
-        replay ? n + procs
-               : 2.0 * n + procs + 4.0 * static_cast<double>(ready_size);
-    const double est_delta = kRestorePerItem * restore_items +
-                             pending_overhead_pops +
-                             (replay ? kReplayPopCost : 1.0) * remaining;
-    const double est_full =
-        n + kFullBlPops * n + kResetPerItem * (2.0 * n + procs);
-    return est_delta < est_full;
-  }
 
   [[nodiscard]] std::size_t num_lanes() const noexcept {
     return lanes_.size();
@@ -456,31 +174,8 @@ class MappingKernel {
     return rejected_.load(std::memory_order_relaxed);
   }
 
-  /// Telemetry for the incremental paths (same relaxed-atomic contract as
-  /// rejected_count): how many run_delta / run_sibling evaluations fell
-  /// back to a full pass, resumed with the ready heap from a certified
-  /// prefix, or replayed the parent's whole pop order heap-free.
-  [[nodiscard]] std::size_t delta_full_count() const noexcept {
-    return delta_full_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t delta_resumed_count() const noexcept {
-    return delta_resumed_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t delta_replayed_count() const noexcept {
-    return delta_replayed_.load(std::memory_order_relaxed);
-  }
-  /// How many full/resumed sibling passes re-converged with the parent's
-  /// recorded order mid-drive and finished heap-free (see resync_drive).
-  [[nodiscard]] std::size_t delta_resynced_count() const noexcept {
-    return delta_resynced_.load(std::memory_order_relaxed);
-  }
-
   void reset_stats() noexcept {
     rejected_.store(0, std::memory_order_relaxed);
-    delta_full_.store(0, std::memory_order_relaxed);
-    delta_resumed_.store(0, std::memory_order_relaxed);
-    delta_replayed_.store(0, std::memory_order_relaxed);
-    delta_resynced_.store(0, std::memory_order_relaxed);
   }
 
  private:
@@ -491,9 +186,7 @@ class MappingKernel {
   template <typename Idx>
   struct State {
     std::vector<Idx> topo;      ///< Topological order.
-    std::vector<Idx> topo_pos;  ///< Task -> position in `topo`.
     std::vector<Idx> succ_adj;  ///< CSR targets (offsets on the instance).
-    std::vector<Idx> pred_adj;
     std::vector<Idx> in_degree;
     std::vector<Idx> sources;
 
@@ -505,44 +198,14 @@ class MappingKernel {
       bool operator()(const ReadyEntry& a,
                       const ReadyEntry& b) const noexcept {
         // Strict total order (bottom level desc, id asc): the pop sequence
-        // is then independent of heap shape, which keeps full, traced and
-        // resumed passes bit-identical.
+        // is then independent of heap shape.
         if (a.bl != b.bl) return a.bl > b.bl;
         return a.id < b.id;
-      }
-    };
-    struct WorkEntry {
-      Idx pos;
-      Idx id;
-    };
-    struct WorkBetter {
-      bool operator()(const WorkEntry& a, const WorkEntry& b) const noexcept {
-        return a.pos > b.pos;  // Decreasing topo position; pos is unique.
       }
     };
 
     std::vector<Idx> waiting;  ///< Unfinished-predecessor counts.
     DaryHeap<ReadyEntry, ReadyBetter> ready;
-    DaryHeap<WorkEntry, WorkBetter> worklist;  ///< Bottom-level patching.
-    std::vector<std::uint32_t> mark;  ///< Worklist dedup epochs.
-    // No default member initializer: State is instantiated as a variant
-    // member while MappingKernel is still incomplete, and an NSDMI here
-    // (parsed in the enclosing complete-class context) would delete the
-    // variant's default constructor. init() assigns it.
-    std::uint32_t epoch;
-    std::vector<ReadyEntry> restore;  ///< Snapshot-restore scratch.
-    std::vector<Idx> bl_changed;      ///< Patch-pass scratch.
-
-    /// Re-sync bookkeeping for resync_drive: order_mark[v] is +1 when this
-    /// pass popped v but the parent's same-length prefix has not, -1 for
-    /// the converse, 0 when both or neither (order_dirty lists the entries
-    /// that may be nonzero). key_mark[v] == key_epoch flags the tasks
-    /// whose bottom level the current patch moved (set by
-    /// mark_moved_keys, read by certify and resync_drive).
-    std::vector<std::int8_t> order_mark;
-    std::vector<Idx> order_dirty;
-    std::vector<std::uint32_t> key_mark;
-    std::uint32_t key_epoch;
 
     void init(const ProblemInstance& pi);
   };
@@ -580,42 +243,26 @@ class MappingKernel {
     }
   }
 
-  /// The shared main loop: pops the ready queue to completion starting
-  /// from an arbitrary consistent state at pop index `pops`. With kTrace,
-  /// records ready_pos and periodic checkpoints into `trace` and finalizes
-  /// it (bound must then be +inf). With kComm, each successor update
-  /// charges the link cost from the popped task's lane to the successor's
-  /// (the only point where the heterogeneous cost matrix enters).
-  template <bool kTrace, bool kComm, typename Idx, typename PlaceFn>
+  /// The main loop: pops the ready queue to completion. With kComm, each
+  /// successor update charges the link cost from the popped task's lane to
+  /// the successor's (the only point where the heterogeneous cost matrix
+  /// enters).
+  template <bool kComm, typename Idx, typename PlaceFn>
   double drive(State<Idx>& st, ProcessorSelection selection,
-               double upper_bound, Schedule* out, const PlaceFn& place,
-               EvalTrace* trace, std::size_t pops, double makespan,
-               double pressure) {
+               double upper_bound, Schedule* out, const PlaceFn& place) {
     const std::uint32_t* soff = succ_off_;
     const Idx* sadj = st.succ_adj.data();
+    std::size_t pops = 0;
+    double makespan = 0.0;
     while (!st.ready.empty()) {
-      if constexpr (kTrace) {
-        if (pops % checkpoint_interval_ == 0) {
-          record_checkpoint(st, *trace, pops, makespan);
-        }
-      }
       const auto top = st.ready.pop();
       const auto v = static_cast<TaskId>(top.id);
       const Placement p = place(v, data_ready_[v]);
-      if constexpr (kTrace) {
-        trace->pop_order[pops] = static_cast<std::uint32_t>(v);
-        trace->pop_pos[v] = static_cast<std::uint32_t>(pops);
-        trace->start[v] = p.start;
-      }
       if (p.finish > makespan) makespan = p.finish;
 
       // Once v starts at p.start, the final makespan is at least
       // start + bl(v) — the chain below v still has to run.
-      const double press = p.start + top.bl;
-      if constexpr (kTrace) {
-        if (press > pressure) pressure = press;
-      }
-      if (press > upper_bound) {
+      if (p.start + top.bl > upper_bound) {
         rejected_.fetch_add(1, std::memory_order_relaxed);
         return std::numeric_limits<double>::infinity();
       }
@@ -633,540 +280,13 @@ class MappingKernel {
         if (arrive > data_ready_[w]) data_ready_[w] = arrive;
         if (--st.waiting[w] == 0) {
           st.ready.push({bl_[w], static_cast<Idx>(w)});
-          if constexpr (kTrace) {
-            trace->ready_pos[w] = static_cast<std::uint32_t>(pops);
-          }
         }
       }
     }
     if (pops != n_) {
       throw GraphError("mapping kernel: graph has a cycle");
     }
-    if constexpr (kTrace) {
-      trace->makespan = makespan;
-      trace->total_pressure = pressure;
-      trace->valid = true;
-    }
     return makespan;
-  }
-
-  /// Step 1 of the delta paths: dedupe `changed` into the bottom-level
-  /// worklist and return R_cap, the first parent pop position of an
-  /// alloc-changed task — before it, every popped task has the parent's
-  /// duration and requested size. Returns n_ (and an empty worklist) when
-  /// `changed` dedupes to nothing.
-  template <typename Idx>
-  std::size_t seed_worklist(State<Idx>& st, std::span<const TaskId> changed,
-                            const EvalTrace& parent) {
-    if (++st.epoch == 0) {
-      std::fill(st.mark.begin(), st.mark.end(), 0u);
-      st.epoch = 1;
-    }
-    st.worklist.clear();
-    std::size_t r_cap = n_;
-    for (const TaskId v : changed) {
-      if (st.mark[v] == st.epoch) continue;
-      st.mark[v] = st.epoch;
-      st.worklist.push({st.topo_pos[v], static_cast<Idx>(v)});
-      r_cap = std::min<std::size_t>(r_cap, parent.pop_pos[v]);
-    }
-    return r_cap;
-  }
-
-  /// Step 2: patch the bottom levels in bl_ (which must hold the parent's
-  /// levels on entry) by draining the seeded worklist over decreasing topo
-  /// position; every task whose level moved lands in st.bl_changed.
-  template <typename Idx>
-  void patch_bottom_levels(State<Idx>& st,
-                           std::span<const double> priority_times) {
-    const std::uint32_t* soff = succ_off_;
-    const std::uint32_t* poff = pred_off_;
-    st.bl_changed.clear();
-    while (!st.worklist.empty()) {
-      const auto v = static_cast<std::size_t>(st.worklist.pop().id);
-      // Decreasing topo position: every successor's bottom level is final
-      // by the time v is recomputed, so each task is processed once.
-      double best = 0.0;
-      for (std::uint32_t e = soff[v]; e < soff[v + 1]; ++e) {
-        best = std::max(best,
-                        bl_[static_cast<std::size_t>(st.succ_adj[e])]);
-      }
-      const double nb = priority_times[v] + best;
-      if (nb != bl_[v]) {
-        bl_[v] = nb;
-        st.bl_changed.push_back(static_cast<Idx>(v));
-        for (std::uint32_t e = poff[v]; e < poff[v + 1]; ++e) {
-          const Idx u = st.pred_adj[e];
-          const auto ui = static_cast<std::size_t>(u);
-          if (st.mark[ui] != st.epoch) {
-            st.mark[ui] = st.epoch;
-            st.worklist.push({st.topo_pos[ui], u});
-          }
-        }
-      }
-    }
-  }
-
-  /// Flag the tasks whose keys the current patch moved (bl_changed) in
-  /// st.key_mark, giving certify and resync_drive an O(1) membership
-  /// test. Call once per delta/sibling pass, after patch_bottom_levels.
-  template <typename Idx>
-  void mark_moved_keys(State<Idx>& st) {
-    if (++st.key_epoch == 0) {
-      std::fill(st.key_mark.begin(), st.key_mark.end(), 0u);
-      st.key_epoch = 1;
-    }
-    for (const Idx vi : st.bl_changed) {
-      st.key_mark[static_cast<std::size_t>(vi)] = st.key_epoch;
-    }
-  }
-
-  /// Step 3: certify that the moved bottom levels do not reorder the
-  /// recorded pop sequence before `resume` (see the file comment), and
-  /// lower `resume` to the first position where a check fails. `beats` is
-  /// the ready queue's strict order under the PATCHED keys. `budget`
-  /// bounds the total pairwise scan volume; on exhaustion *budget_ok is
-  /// cleared and the caller falls back to a full pass (the partial result
-  /// is then meaningless). Charged per window up front so the outcome
-  /// never depends on where inside a window a violation sits.
-  template <typename Idx>
-  std::size_t certify(const State<Idx>& st, const EvalTrace& parent,
-                      std::size_t resume, std::size_t budget,
-                      bool* budget_ok) const {
-    const auto beats = [this](std::size_t a, std::size_t b) noexcept {
-      return bl_[a] > bl_[b] || (bl_[a] == bl_[b] && a < b);
-    };
-    const std::uint32_t* porder = parent.pop_order.data();
-    for (const Idx vi : st.bl_changed) {
-      const auto v = static_cast<std::size_t>(vi);
-      const std::size_t pv = parent.pop_pos[v];
-      // While v sat in the ready queue, every recorded pop must still win
-      // against v's new key.
-      const std::size_t hi = std::min<std::size_t>(pv, resume);
-      const std::size_t lo = parent.ready_pos[v];
-      if (hi > lo) {
-        if (hi - lo > budget) {
-          *budget_ok = false;
-          return resume;
-        }
-        budget -= hi - lo;
-        for (std::size_t i = lo; i < hi; ++i) {
-          if (!beats(porder[i], v)) {
-            resume = i;
-            break;
-          }
-        }
-      }
-      // If v's key dropped, v must still win its own pop against
-      // everything that was ready alongside it. The queue members at pv
-      // are exactly the tasks popped after pv whose ready_pos is <= pv,
-      // and members whose keys did NOT move pop in decreasing key order
-      // (both sat in the queue until the earlier pop, which the heap only
-      // grants to the larger key) — so the first such member met scanning
-      // the recorded order forward carries the unchanged-key maximum, and
-      // one comparison decides all of them. Moved keys are checked
-      // individually off the (small) bl_changed list.
-      if (pv < resume && bl_[v] < parent.bl[v]) {
-        bool lost = false;
-        for (const Idx wi : st.bl_changed) {
-          const auto w = static_cast<std::size_t>(wi);
-          if (w == v || parent.ready_pos[w] > pv || parent.pop_pos[w] <= pv) {
-            continue;
-          }
-          if (!beats(v, w)) {
-            lost = true;
-            break;
-          }
-        }
-        for (std::size_t j = pv + 1; !lost && j < n_; ++j) {
-          if (budget == 0) {
-            *budget_ok = false;
-            return resume;
-          }
-          --budget;
-          const auto u = static_cast<std::size_t>(porder[j]);
-          if (parent.ready_pos[u] > pv ||
-              st.key_mark[u] == st.key_epoch) {
-            continue;
-          }
-          lost = !beats(v, u);
-          break;
-        }
-        if (lost) resume = pv;
-      }
-    }
-    return resume;
-  }
-
-  /// Bounded passes only: exact rejection pressure of the skipped prefix
-  /// [0, c.pops) — recorded starts under the PATCHED bottom levels. True
-  /// (with one rejection counted) iff the full bounded pass would have
-  /// rejected inside the prefix.
-  bool prefix_rejects(const EvalTrace& parent, const EvalTrace::Checkpoint& c,
-                      double upper_bound) {
-    if (!std::isfinite(upper_bound)) return false;
-    double press = 0.0;
-    const std::uint32_t* porder = parent.pop_order.data();
-    const double* pstart = parent.start.data();
-    for (std::size_t i = 0; i < c.pops; ++i) {
-      const auto t = static_cast<std::size_t>(porder[i]);
-      press = std::max(press, pstart[t] + bl_[t]);
-    }
-    if (press <= upper_bound) return false;
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Load snapshot `c` into the dynamic state. Replay mode only carries
-  /// availability and data-ready times; a heap resume (`full`) also
-  /// rebuilds the waiting counts and the ready heap under the patched
-  /// keys.
-  template <typename Idx>
-  void restore_checkpoint(State<Idx>& st, const EvalTrace::Checkpoint& c,
-                          bool full) {
-    // Snapshots store availability in the canonical (head-0, lane-packed)
-    // layout so traces stay portable between kernels; restoring re-packs
-    // each lane's sliding window at the start of its slack region.
-    for (std::size_t k = 0; k < lanes_.size(); ++k) {
-      lane_head_[k] = 0;
-      std::copy(c.avail.begin() + static_cast<std::ptrdiff_t>(lane_off_[k]),
-                c.avail.begin() + static_cast<std::ptrdiff_t>(lane_off_[k + 1]),
-                sorted_avail_.begin() +
-                    static_cast<std::ptrdiff_t>(slack_off_[k]));
-    }
-    std::copy(c.data_ready.begin(), c.data_ready.end(), data_ready_.begin());
-    if (!full) return;
-    for (std::size_t v = 0; v < n_; ++v) {
-      st.waiting[v] = static_cast<Idx>(c.waiting[v]);
-    }
-    st.restore.clear();
-    for (const std::uint32_t id : c.ready) {
-      st.restore.push_back({bl_[id], static_cast<Idx>(id)});
-    }
-    st.ready.assign(st.restore.begin(), st.restore.end());
-  }
-
-  /// Comm mode only: repair a restored snapshot's data-ready times. The
-  /// snapshot's values for the alloc-changed tasks embed link costs toward
-  /// their PARENT lanes (accumulated as their predecessors finished before
-  /// the snapshot), which is wrong once the child moved them. Recompute
-  /// each changed task's data-ready toward its child lane from the
-  /// recorded prefix: exact, because the snapshot sits at or before R_cap
-  /// (the first changed pop), so every predecessor popped before it is
-  /// provably unchanged — its recorded start, duration and lane are the
-  /// child's too, and parent.start[u] + parent.times[u] reproduces the
-  /// recorded finish bit for bit. Predecessors popping at or after the
-  /// snapshot contribute live in the resumed drive.
-  template <typename Idx>
-  void fixup_comm_data_ready(const State<Idx>& st,
-                             std::span<const TaskId> changed,
-                             const EvalTrace& parent,
-                             const EvalTrace::Checkpoint& c) {
-    const std::uint32_t* poff = pred_off_;
-    for (const TaskId v : changed) {
-      double dr = 0.0;
-      const auto lv = static_cast<std::size_t>(task_lane_[v]);
-      for (std::uint32_t e = poff[v]; e < poff[v + 1]; ++e) {
-        const auto u = static_cast<std::size_t>(st.pred_adj[e]);
-        if (parent.pop_pos[u] >= c.pops) continue;
-        const double arrive =
-            parent.start[u] + parent.times[u] +
-            comm_[static_cast<std::size_t>(task_lane_[u]) * comm_stride_ + lv];
-        if (arrive > dr) dr = arrive;
-      }
-      data_ready_[v] = dr;
-    }
-  }
-
-  template <bool kComm, typename Idx, typename PlaceFn>
-  double delta_impl(State<Idx>& st, std::span<const double> priority_times,
-                    std::span<const TaskId> changed, const EvalTrace& parent,
-                    ProcessorSelection selection, double upper_bound,
-                    const PlaceFn& place) {
-    std::size_t resume = seed_worklist(st, changed, parent);
-    if (st.worklist.empty()) {
-      // Nothing changed: the parent's pass IS the child's pass, including
-      // whether a bounded run would have rejected somewhere inside it.
-      if (parent.total_pressure > upper_bound) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return std::numeric_limits<double>::infinity();
-      }
-      return parent.makespan;
-    }
-    {
-      // Profitability gate, decided on the snapshot the resume would
-      // actually use. run_delta gates BEFORE the bottom-level patch and
-      // certification, so their expected cost is charged as pending
-      // overhead; certification can only lower the resume point, so
-      // gating on R_cap never overstates the saving.
-      const std::size_t gci = std::min(resume / checkpoint_interval_,
-                                       parent.num_checkpoints - 1);
-      const EvalTrace::Checkpoint& gc = parent.checkpoints[gci];
-      if (!delta_profitable(gc.pops, /*replay=*/false, gc.ready.size(),
-                            kPatchCertifyPops * static_cast<double>(n_))) {
-        delta_full_.fetch_add(1, std::memory_order_relaxed);
-        compute_bottom_levels(st, priority_times);
-        reset_dynamic_state(st, false);
-        return drive<false, kComm>(st, selection, upper_bound, nullptr, place,
-                                   nullptr, 0, 0.0, 0.0);
-      }
-    }
-
-    std::copy(parent.bl.begin(), parent.bl.end(), bl_.begin());
-    patch_bottom_levels(st, priority_times);
-    mark_moved_keys(st);
-    bool budget_ok = true;
-    resume = certify(st, parent, resume,
-                     std::numeric_limits<std::size_t>::max(), &budget_ok);
-
-    // Restore the latest snapshot taken at or before pop R; the resumed
-    // suffix re-checks the bound live.
-    const std::size_t ci = std::min(resume / checkpoint_interval_,
-                                    parent.num_checkpoints - 1);
-    const EvalTrace::Checkpoint& c = parent.checkpoints[ci];
-    if (prefix_rejects(parent, c, upper_bound)) {
-      return std::numeric_limits<double>::infinity();
-    }
-    restore_checkpoint(st, c, /*full=*/true);
-    if constexpr (kComm) fixup_comm_data_ready(st, changed, parent, c);
-    delta_resumed_.fetch_add(1, std::memory_order_relaxed);
-    return drive<false, kComm>(st, selection, upper_bound, nullptr, place,
-                               nullptr, c.pops, c.makespan, 0.0);
-  }
-
-  /// Heap-free lockstep drive for a fully certified sibling: the child's
-  /// pop sequence IS the parent's, so no ready queue, no waiting counts —
-  /// just the recorded order, live placements, and the availability /
-  /// data-ready updates they imply. Bit-identical to drive<false> from the
-  /// same state because each pop performs the same place / occupy / bound
-  /// arithmetic on the same operands in the same order.
-  template <bool kComm, typename Idx, typename PlaceFn>
-  double replay_drive(State<Idx>& st, const EvalTrace& parent,
-                      std::size_t pops, double makespan,
-                      ProcessorSelection selection, double upper_bound,
-                      const PlaceFn& place) {
-    const std::uint32_t* soff = succ_off_;
-    const Idx* sadj = st.succ_adj.data();
-    const std::uint32_t* porder = parent.pop_order.data();
-    for (std::size_t i = pops; i < n_; ++i) {
-      const auto v = static_cast<TaskId>(porder[i]);
-      const Placement p = place(v, data_ready_[v]);
-      if (p.finish > makespan) makespan = p.finish;
-      const double press = p.start + bl_[v];
-      if (press > upper_bound) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return std::numeric_limits<double>::infinity();
-      }
-      occupy_value(p, selection);
-      for (std::uint32_t e = soff[v]; e < soff[v + 1]; ++e) {
-        const auto w = static_cast<std::size_t>(sadj[e]);
-        double arrive = p.finish;
-        if constexpr (kComm) {
-          arrive += comm_[p.lane * comm_stride_ +
-                          static_cast<std::size_t>(task_lane_[w])];
-        }
-        if (arrive > data_ready_[w]) data_ready_[w] = arrive;
-      }
-    }
-    return makespan;
-  }
-
-  /// Heap drive that tracks divergence from the parent's recorded order
-  /// and downgrades to heap-free replay the moment the two provably
-  /// re-converge. Soundness rests on the same fact as replay mode: the
-  /// pop order is a pure function of the priority keys and the graph —
-  /// readiness is a counting event, start times never steer order. So
-  /// once (a) the multiset of tasks this pass has popped equals the
-  /// parent's recorded prefix of the same length (tracked as a symmetric
-  /// difference via st.order_mark), and (b) every task whose key the
-  /// patch moved has popped (`keys_pending`, via st.key_mark), the
-  /// remaining task set, its keys and its waiting counts are exactly the
-  /// parent's at that position, and the rest of the child's sequence IS
-  /// parent.pop_order[pops..n) — the pass finishes through replay_drive.
-  /// Value path only. Bit-identical to drive<false> from the same state:
-  /// every pop performs the same place / occupy / bound arithmetic on the
-  /// same operands in the same order, only the ready-queue bookkeeping is
-  /// dropped once it is provably redundant.
-  template <bool kComm, typename Idx, typename PlaceFn>
-  double resync_drive(State<Idx>& st, const EvalTrace& parent,
-                      std::size_t pops, double makespan,
-                      std::size_t keys_pending, ProcessorSelection selection,
-                      double upper_bound, const PlaceFn& place) {
-    const std::uint32_t* soff = succ_off_;
-    const Idx* sadj = st.succ_adj.data();
-    const std::uint32_t* porder = parent.pop_order.data();
-    std::size_t diff = 0;  ///< Count of nonzero order_mark entries.
-    const auto unmark = [&st]() {
-      for (const Idx t : st.order_dirty) {
-        st.order_mark[static_cast<std::size_t>(t)] = 0;
-      }
-      st.order_dirty.clear();
-    };
-    while (!st.ready.empty()) {
-      const auto top = st.ready.pop();
-      const auto v = static_cast<TaskId>(top.id);
-      const Placement p = place(v, data_ready_[v]);
-      if (p.finish > makespan) makespan = p.finish;
-      const double press = p.start + top.bl;
-      if (press > upper_bound) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        unmark();
-        return std::numeric_limits<double>::infinity();
-      }
-      occupy_value(p, selection);
-      if (st.key_mark[v] == st.key_epoch) --keys_pending;
-      // One step of the symmetric difference: this pass popped v, the
-      // parent's prefix gained porder[pops]. Each task is popped at most
-      // once by either side, so the transitions below are exhaustive.
-      const auto u = static_cast<TaskId>(porder[pops]);
-      if (v != u) {
-        if (st.order_mark[v] < 0) {
-          st.order_mark[v] = 0;
-          --diff;
-        } else {
-          st.order_mark[v] = 1;
-          ++diff;
-          st.order_dirty.push_back(static_cast<Idx>(v));
-        }
-        if (st.order_mark[u] > 0) {
-          st.order_mark[u] = 0;
-          --diff;
-        } else {
-          st.order_mark[u] = -1;
-          ++diff;
-          st.order_dirty.push_back(static_cast<Idx>(u));
-        }
-      }
-      ++pops;
-      for (std::uint32_t e = soff[v]; e < soff[v + 1]; ++e) {
-        const auto w = static_cast<std::size_t>(sadj[e]);
-        double arrive = p.finish;
-        if constexpr (kComm) {
-          arrive += comm_[p.lane * comm_stride_ +
-                          static_cast<std::size_t>(task_lane_[w])];
-        }
-        if (arrive > data_ready_[w]) data_ready_[w] = arrive;
-        if (--st.waiting[w] == 0) {
-          st.ready.push({bl_[w], static_cast<Idx>(w)});
-        }
-      }
-      if (diff == 0 && keys_pending == 0 && pops < n_) {
-        // diff == 0 means every order_mark is back to zero already.
-        st.order_dirty.clear();
-        delta_resynced_.fetch_add(1, std::memory_order_relaxed);
-        return replay_drive<kComm>(st, parent, pops, makespan, selection,
-                                   upper_bound, place);
-      }
-    }
-    unmark();
-    if (pops != n_) {
-      throw GraphError("mapping kernel: graph has a cycle");
-    }
-    return makespan;
-  }
-
-  template <bool kComm, typename Idx, typename PlaceFn>
-  double sibling_impl(State<Idx>& st, std::span<const double> priority_times,
-                      std::span<const TaskId> changed, const EvalTrace& parent,
-                      ProcessorSelection selection, double upper_bound,
-                      const PlaceFn& place) {
-    const std::size_t r_cap = seed_worklist(st, changed, parent);
-    if (st.worklist.empty()) {
-      // Parent reproduction: bl_ untouched, nothing to undo.
-      if (parent.total_pressure > upper_bound) {
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        return std::numeric_limits<double>::infinity();
-      }
-      return parent.makespan;
-    }
-
-    // Patch first — the session holds the parent's levels, and the patched
-    // levels are exact for this sibling, so even the full-pass fallback
-    // reuses them and skips compute_bottom_levels entirely.
-    patch_bottom_levels(st, priority_times);
-    mark_moved_keys(st);
-
-    // Uncapped certification: prove the WHOLE recorded order survives the
-    // key changes (resume starts at n_, not R_cap). Success means replay
-    // mode; a violation at R < n_ still allows a heap resume from
-    // min(R, R_cap). The restore point itself can never exceed R_cap —
-    // beyond it the parent's snapshots reflect durations this sibling
-    // changed.
-    bool budget_ok = true;
-    const std::size_t cert =
-        certify(st, parent, n_, kCertifyBudgetPerTask * n_, &budget_ok);
-    const bool replay = budget_ok && cert >= n_;
-    const std::size_t resume = std::min(cert, r_cap);
-    const std::size_t ci = std::min(resume / checkpoint_interval_,
-                                    parent.num_checkpoints - 1);
-    const EvalTrace::Checkpoint& c = parent.checkpoints[ci];
-
-    double result;
-    if (!budget_ok ||
-        !delta_profitable(c.pops, replay, c.ready.size(), 0.0)) {
-      // Even the full fallback knows the parent's order: drive from pop 0
-      // with re-sync tracking, so it too downgrades to replay once the
-      // divergence washes out.
-      delta_full_.fetch_add(1, std::memory_order_relaxed);
-      reset_dynamic_state(st, false);
-      result = resync_drive<kComm>(st, parent, 0, 0.0, st.bl_changed.size(),
-                                   selection, upper_bound, place);
-    } else if (prefix_rejects(parent, c, upper_bound)) {
-      result = std::numeric_limits<double>::infinity();
-    } else if (replay) {
-      delta_replayed_.fetch_add(1, std::memory_order_relaxed);
-      restore_checkpoint(st, c, /*full=*/false);
-      if constexpr (kComm) fixup_comm_data_ready(st, changed, parent, c);
-      result = replay_drive<kComm>(st, parent, c.pops, c.makespan, selection,
-                                   upper_bound, place);
-    } else {
-      delta_resumed_.fetch_add(1, std::memory_order_relaxed);
-      restore_checkpoint(st, c, /*full=*/true);
-      if constexpr (kComm) fixup_comm_data_ready(st, changed, parent, c);
-      std::size_t keys_pending = 0;
-      for (const Idx vi : st.bl_changed) {
-        const auto v = static_cast<std::size_t>(vi);
-        keys_pending += static_cast<std::size_t>(parent.pop_pos[v] >= c.pops);
-      }
-      result = resync_drive<kComm>(st, parent, c.pops, c.makespan,
-                                   keys_pending, selection, upper_bound,
-                                   place);
-    }
-
-    // Un-patch: hand the session's parent levels back for the next
-    // sibling, touching only what this one moved.
-    for (const Idx vi : st.bl_changed) {
-      const auto v = static_cast<std::size_t>(vi);
-      bl_[v] = parent.bl[v];
-    }
-    return result;
-  }
-
-  template <typename Idx>
-  void record_checkpoint(State<Idx>& st, EvalTrace& trace, std::size_t pops,
-                         double makespan) {
-    if (trace.checkpoints.size() <= trace.num_checkpoints) {
-      trace.checkpoints.emplace_back();
-    }
-    EvalTrace::Checkpoint& c = trace.checkpoints[trace.num_checkpoints++];
-    c.pops = static_cast<std::uint32_t>(pops);
-    c.makespan = makespan;
-    c.avail.resize(lane_off_.back());
-    for (std::size_t k = 0; k < lanes_.size(); ++k) {
-      const double* av =
-          sorted_avail_.data() + slack_off_[k] + lane_head_[k];
-      std::copy(av, av + (lane_off_[k + 1] - lane_off_[k]),
-                c.avail.begin() + static_cast<std::ptrdiff_t>(lane_off_[k]));
-    }
-    c.data_ready.assign(data_ready_.begin(), data_ready_.end());
-    c.waiting.resize(n_);
-    for (std::size_t v = 0; v < n_; ++v) {
-      c.waiting[v] = static_cast<std::uint32_t>(st.waiting[v]);
-    }
-    c.ready.clear();
-    for (const auto& e : st.ready.raw()) {
-      c.ready.push_back(static_cast<std::uint32_t>(e.id));
-    }
   }
 
   /// Lanes wider than this use binary search in occupy_value; at cluster
@@ -1225,7 +345,7 @@ class MappingKernel {
   /// shift-almost-the-whole-lane memmove into a few-element move. The
   /// insertion rank is found by a branchless binary search: finish times
   /// land mid-lane often enough (measured mean rank ~P/3 from the back on
-  /// the replay workload) that both the backward linear probe and the
+  /// EMTS-10 mutant batches) that both the backward linear probe and the
   /// branch-free forward count walk an order of magnitude more entries
   /// than the log2(P) halvings do.
   void occupy_value(const Placement& p, ProcessorSelection selection) {
@@ -1287,15 +407,9 @@ class MappingKernel {
   void occupy_placed(TaskId v, const Placement& p,
                      ProcessorSelection selection, Schedule* out);
 
-  const ProblemInstance* instance_;
   std::vector<MappingLane> lanes_;
   std::size_t n_ = 0;
   const std::uint32_t* succ_off_ = nullptr;  ///< Instance CSR offsets.
-  const std::uint32_t* pred_off_ = nullptr;
-  /// Snapshot spacing for traced passes: coarse enough that trace building
-  /// stays O(n) in snapshot copies, fine enough that a resumed pass skips
-  /// most of the prefix.
-  std::size_t checkpoint_interval_ = 0;
 
   /// Slack multiplier for the sliding availability windows: each lane owns
   /// kAvailSlackFactor x P doubles so occupy_value can advance the window
@@ -1317,13 +431,6 @@ class MappingKernel {
   std::vector<double> bl_;
   std::vector<double> data_ready_;
   std::atomic<std::size_t> rejected_{0};
-  std::atomic<std::size_t> delta_full_{0};
-  std::atomic<std::size_t> delta_resumed_{0};
-  std::atomic<std::size_t> delta_replayed_{0};
-  std::atomic<std::size_t> delta_resynced_{0};
-  /// Open sibling-batch session (bl_ holds this trace's bottom levels);
-  /// null outside a session.
-  const EvalTrace* batch_parent_ = nullptr;
 
   /// Heterogeneous communication context (set_comm_context): row-major
   /// lane-to-lane link costs, their stride, and the driver-maintained

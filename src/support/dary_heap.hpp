@@ -5,9 +5,8 @@
 // fitness evaluation, so the queue's constant factors are on the hottest
 // path of the whole system. A 4-ary heap over a flat entry array beats
 // std::push_heap/pop_heap on a binary heap here: half the tree depth
-// (fewer cache lines touched per sift), entries carry their key inline
-// (no indirect key lookup in the comparator), and heapify() rebuilds in
-// O(n) when the kernel resumes from a snapshot.
+// (fewer cache lines touched per sift), and entries carry their key inline
+// (no indirect key lookup in the comparator).
 //
 // `Better(a, b)` returns true when `a` must pop before `b`. Determinism
 // contract: when Better is a strict total order (ties broken by id), the
@@ -34,12 +33,6 @@ class DaryHeap {
   [[nodiscard]] bool empty() const noexcept { return entries_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-  /// The raw entry array (heap order). Snapshots iterate it; the set of
-  /// entries is well-defined even though their order is not.
-  [[nodiscard]] const std::vector<Entry>& raw() const noexcept {
-    return entries_;
-  }
-
   void push(Entry e) {
     entries_.push_back(e);
     sift_up(entries_.size() - 1);
@@ -55,17 +48,6 @@ class DaryHeap {
       sift_down(0);
     }
     return top;
-  }
-
-  /// Replace the contents with [first, last) and restore the heap
-  /// invariant in O(n) (snapshot restore path).
-  template <typename It>
-  void assign(It first, It last) {
-    entries_.assign(first, last);
-    if (entries_.size() < 2) return;
-    for (std::size_t i = (entries_.size() - 2) / Arity + 1; i-- > 0;) {
-      sift_down(i);
-    }
   }
 
  private:

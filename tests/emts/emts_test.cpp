@@ -251,5 +251,59 @@ TEST(Emts, MutatorLateGenerationsChangeFewer) {
   EXPECT_GT(count_changes(0), count_changes(9));
 }
 
+TEST(Emts, TrackedMutatorDrawsIdenticalChildren) {
+  // The tracked form is an adapter over make_mutator: same RNG stream,
+  // same child, so an ES driven by either walks one trajectory.
+  MutationParams params;
+  const double fm = 0.33;
+  const std::size_t generations = 10;
+  const int P = 16;
+  const MutateFn plain = Emts::make_mutator(params, fm, generations, P);
+  const TrackedMutateFn tracked =
+      Emts::make_tracked_mutator(params, fm, generations, P);
+  Rng rng_a(5150);
+  Rng rng_b(5150);
+  Allocation parent(60, 4);
+  for (std::size_t u = 0; u < generations; ++u) {
+    const Allocation a = plain(parent, u, rng_a);
+    std::vector<TaskId> touched;
+    const Allocation b = tracked(parent, u, rng_b, touched);
+    ASSERT_EQ(a, b);
+    parent = b;
+  }
+
+  const Ptg g = irregular_corpus(30, 1, 5151).front();
+  const Cluster c = chti();
+  const SyntheticModel model;
+  const auto pi = ProblemInstance::borrow(g, model, c);
+  EsConfig es_cfg;
+  es_cfg.seed = 5152;
+  const auto run = [&](bool use_tracked) {
+    ListScheduler sched(pi);
+    EvolutionStrategy es(
+        es_cfg,
+        [&sched](const Allocation& genes, std::size_t) {
+          return sched.makespan(genes);
+        },
+        Emts::make_mutator(params, fm, es_cfg.generations,
+                           c.num_processors()));
+    if (use_tracked) {
+      es.set_tracked_mutator(Emts::make_tracked_mutator(
+          params, fm, es_cfg.generations, c.num_processors()));
+    }
+    Individual seed;
+    seed.genes = Allocation(g.num_tasks(), 1);
+    return es.run({seed});
+  };
+  const EsResult want = run(false);
+  const EsResult got = run(true);
+  EXPECT_EQ(want.best.genes, got.best.genes);
+  ASSERT_EQ(want.history.size(), got.history.size());
+  for (std::size_t u = 0; u < want.history.size(); ++u) {
+    EXPECT_EQ(want.history[u].best, got.history[u].best);
+    EXPECT_EQ(want.history[u].mean, got.history[u].mean);
+  }
+}
+
 }  // namespace
 }  // namespace ptgsched

@@ -8,6 +8,9 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "daggen/corpus.hpp"
 #include "model/execution_time.hpp"
@@ -331,6 +334,32 @@ TEST(EvaluationEngine, BuildScheduleMatchesFitness) {
   const Allocation alloc = random_allocation(g, c, rng);
   const double m = engine.evaluate_one(alloc);
   EXPECT_DOUBLE_EQ(engine.build_schedule(alloc).makespan(), m);
+}
+
+TEST(EvaluationEngine, RetiredKernelModesThrow) {
+  const Ptg g = irregular_corpus(20, 1, 73).front();
+  const Cluster c = chti();
+  const SyntheticModel model;
+  for (const auto& [mode, name] :
+       {std::pair{KernelMode::Incremental, "Incremental"},
+        std::pair{KernelMode::Batched, "Batched"}}) {
+    EvalEngineConfig cfg;
+    cfg.kernel = mode;
+    try {
+      EvaluationEngine engine(g, model, c, {}, cfg);
+      ADD_FAILURE() << name << " constructed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+  // Unset and Full both construct, and both run the full pass.
+  EvaluationEngine unset(g, model, c);
+  EXPECT_EQ(unset.kernel_mode(), KernelMode::Full);
+  EvalEngineConfig cfg;
+  cfg.kernel = KernelMode::Full;
+  EvaluationEngine full(g, model, c, {}, cfg);
+  EXPECT_EQ(full.kernel_mode(), KernelMode::Full);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
-// Tests for the shared MappingKernel: single- and multi-cluster schedulers
-// must agree on a one-cluster platform (they run the same engine), the
-// value and placement paths must report bit-identical makespans for both
-// processor-selection policies, and the rejection counter must support
-// exact reset semantics.
+// Tests for the shared MappingKernel: the full pass must match the
+// preserved ReferenceMapper oracle bit for bit (value, schedule and
+// rejection count) on every corpus class, single- and multi-cluster
+// schedulers must agree on a one-cluster platform (they run the same
+// engine), the value and placement paths must report bit-identical
+// makespans for both processor-selection policies, and the rejection
+// counter must support exact reset semantics.
 
 #include "sched/mapping_kernel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <string>
 
+#include "../common/reference_mapper.hpp"
 #include "../common/test_graphs.hpp"
 #include "core/problem_instance.hpp"
 #include "daggen/corpus.hpp"
@@ -31,6 +36,63 @@ Allocation random_allocation(const Ptg& g, int max_size, Rng& rng) {
   Allocation alloc(g.num_tasks());
   for (auto& s : alloc) s = static_cast<int>(rng.uniform_int(1, max_size));
   return alloc;
+}
+
+/// The full pass against the ReferenceMapper oracle on random
+/// allocations: value, bounded runs below, at and above the exact value
+/// (so the rejection decision and count too), and per-task placements.
+void expect_oracle_agreement(
+    const std::shared_ptr<const ProblemInstance>& pi,
+    ListSchedulerOptions opts, Rng& rng, const std::string& label) {
+  ListScheduler sched(pi, opts);
+  ReferenceMapper oracle(pi, opts);
+  const int P = pi->num_processors();
+  for (int trial = 0; trial < 8; ++trial) {
+    const Allocation alloc = random_allocation(pi->graph(), P, rng);
+    const double want = oracle.makespan(alloc);
+    ASSERT_EQ(want, sched.makespan(alloc)) << label;
+    for (const double factor : {0.8, 1.0, 1.2}) {
+      ASSERT_EQ(oracle.makespan_bounded(alloc, want * factor),
+                sched.makespan_bounded(alloc, want * factor))
+          << label << " bound factor " << factor;
+    }
+    const Schedule want_placed = oracle.build_schedule(alloc);
+    const Schedule placed = sched.build_schedule(alloc);
+    for (const PlacedTask& t : want_placed.placed()) {
+      const PlacedTask& h = placed.placement(t.task);
+      ASSERT_EQ(t.start, h.start) << label << " task " << t.task;
+      ASSERT_EQ(t.finish, h.finish) << label << " task " << t.task;
+      ASSERT_EQ(t.processors, h.processors) << label << " task " << t.task;
+    }
+  }
+  EXPECT_EQ(oracle.rejected_count(), sched.rejected_count()) << label;
+  EXPECT_GT(sched.rejected_count(), 0u) << label;
+}
+
+TEST(MappingKernel, FullPassMatchesReferenceMapperOracle) {
+  const Cluster c = chti();
+  const SyntheticModel model;
+  // Equal-cost workers on a fixed-time model: every worker has the same
+  // bottom level, so the pop order rests on the id tie-break alone.
+  const Ptg ties = testutil::fork_join(8);
+  const Cluster unit = unit_cluster(4);
+  const FixedTimeModel fixed;
+  for (const ProcessorSelection policy :
+       {ProcessorSelection::EarliestAvailable, ProcessorSelection::BestFit}) {
+    ListSchedulerOptions opts;
+    opts.selection = policy;
+    for (const char* cls : {"fft", "strassen", "layered", "irregular"}) {
+      for (const auto& g : corpus_by_name(cls, 40, 2, 903)) {
+        Rng rng(derive_seed(44, g.num_tasks(),
+                            static_cast<std::uint64_t>(policy)));
+        expect_oracle_agreement(ProblemInstance::borrow(g, model, c), opts,
+                                rng, cls);
+      }
+    }
+    Rng rng(derive_seed(45, static_cast<std::uint64_t>(policy)));
+    expect_oracle_agreement(ProblemInstance::borrow(ties, fixed, unit), opts,
+                            rng, "fork-join ties");
+  }
 }
 
 TEST(MappingKernel, EarliestStartIsAPureQuery) {
