@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
     const auto n = static_cast<std::size_t>(cli.get_int("instances"));
     const std::uint64_t seed = cli.get_u64("seed");
-    const SyntheticModel model;
-    const Cluster cluster = grelon();
+    const auto model = std::make_shared<const SyntheticModel>();
+    const auto cluster = std::make_shared<const Cluster>(grelon());
 
     std::puts("# EXP-A3: mapping-policy ablation on grelon, Model 2");
     std::puts("# ratios are T_earliest / T_bestfit (>1 means best-fit wins)");
@@ -42,20 +42,19 @@ int main(int argc, char** argv) {
       RunningStats map_ratio;
       RunningStats emts_ratio;
       for (std::size_t i = 0; i < graphs.size(); ++i) {
-        const Ptg& g = graphs[i];
-        const Allocation alloc =
-            make_heuristic("mcpa")->allocate(g, model, cluster);
-        ListScheduler earliest(g, cluster, model,
+        const auto instance = ProblemInstance::create(
+            std::make_shared<const Ptg>(graphs[i]), model, cluster);
+        const Allocation alloc = make_heuristic("mcpa")->allocate(*instance);
+        ListScheduler earliest(instance,
                                {ProcessorSelection::EarliestAvailable});
-        ListScheduler bestfit(g, cluster, model,
-                              {ProcessorSelection::BestFit});
+        ListScheduler bestfit(instance, {ProcessorSelection::BestFit});
         map_ratio.add(earliest.makespan(alloc) / bestfit.makespan(alloc));
 
         EmtsConfig cfg = emts5_config();
         cfg.seed = derive_seed(seed, i);
-        const double m_e = Emts(cfg).schedule(g, model, cluster).makespan;
+        const double m_e = Emts(cfg).schedule(instance).makespan;
         cfg.mapping.selection = ProcessorSelection::BestFit;
-        const double m_b = Emts(cfg).schedule(g, model, cluster).makespan;
+        const double m_b = Emts(cfg).schedule(instance).makespan;
         emts_ratio.add(m_e / m_b);
       }
       table.push_back({cls,

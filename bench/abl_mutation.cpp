@@ -65,9 +65,9 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
     const auto n = static_cast<std::size_t>(cli.get_int("instances"));
     const std::uint64_t seed = cli.get_u64("seed");
-    const SyntheticModel model;
-    const Cluster cluster = grelon();
-    const int P = cluster.num_processors();
+    const auto model = std::make_shared<const SyntheticModel>();
+    const auto cluster = std::make_shared<const Cluster>(grelon());
+    const int P = cluster->num_processors();
     constexpr std::size_t U = 5;
     constexpr double fm = 0.33;
 
@@ -82,16 +82,17 @@ int main(int argc, char** argv) {
       const auto graphs = corpus_by_name(cls, 100, n, seed);
       std::map<std::string, RunningStats> norm;
       for (std::size_t i = 0; i < graphs.size(); ++i) {
-        const Ptg& g = graphs[i];
+        const auto instance = ProblemInstance::create(
+            std::make_shared<const Ptg>(graphs[i]), model, cluster);
         // Shared seeds: the paper's starting solutions.
         std::vector<Individual> seeds;
         for (const char* h : {"mcpa", "hcpa", "delta"}) {
           Individual ind;
-          ind.genes = make_heuristic(h)->allocate(g, model, cluster);
+          ind.genes = make_heuristic(h)->allocate(*instance);
           ind.origin = h;
           seeds.push_back(std::move(ind));
         }
-        ListScheduler sched(g, cluster, model);
+        ListScheduler sched(instance);
         const FitnessFn fitness = [&sched](const Allocation& a, std::size_t) {
           return sched.makespan(a);
         };

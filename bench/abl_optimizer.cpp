@@ -35,9 +35,9 @@ int main(int argc, char** argv) {
     const auto n = static_cast<std::size_t>(cli.get_int("instances"));
     const std::uint64_t seed = cli.get_u64("seed");
     const auto budget = static_cast<std::size_t>(cli.get_int("budget"));
-    const SyntheticModel model;
-    const Cluster cluster = grelon();
-    const int P = cluster.num_processors();
+    const auto model = std::make_shared<const SyntheticModel>();
+    const auto cluster = std::make_shared<const Cluster>(grelon());
+    const int P = cluster->num_processors();
 
     std::printf("# EXP-A4: optimizer comparison on grelon, Model 2, "
                 "budget = %zu evaluations\n", budget);
@@ -51,17 +51,18 @@ int main(int argc, char** argv) {
       const auto graphs = corpus_by_name(cls, 100, n, seed);
       std::map<std::string, RunningStats> norm;
       for (std::size_t i = 0; i < graphs.size(); ++i) {
-        const Ptg& g = graphs[i];
+        const auto instance = ProblemInstance::create(
+            std::make_shared<const Ptg>(graphs[i]), model, cluster);
         std::vector<Individual> seeds;
         for (const char* h : {"mcpa", "hcpa", "delta"}) {
           Individual ind;
-          ind.genes = make_heuristic(h)->allocate(g, model, cluster);
+          ind.genes = make_heuristic(h)->allocate(*instance);
           ind.origin = h;
           seeds.push_back(std::move(ind));
         }
         // All strategies draw fitness from one engine sharing one problem
         // core — the same table-backed hot path EMTS itself evaluates on.
-        EvaluationEngine engine(ProblemInstance::borrow(g, model, cluster));
+        EvaluationEngine engine(instance);
         const FitnessFn fitness = engine.fitness_fn();
         const MutateFn mutate =
             Emts::make_mutator(MutationParams{}, 0.33, 5, P);

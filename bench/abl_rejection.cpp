@@ -30,14 +30,15 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
     const auto n = static_cast<std::size_t>(cli.get_int("instances"));
     const std::uint64_t seed = cli.get_u64("seed");
-    const SyntheticModel model;
+    const auto model = std::make_shared<const SyntheticModel>();
 
     std::puts("# EXP-A5: rejection strategy, EMTS10, Model 2");
     std::vector<std::vector<std::string>> table;
     table.push_back({"class", "platform", "time plain [ms]",
                      "time reject [ms]", "speedup", "rejected [%]",
                      "identical"});
-    for (const Cluster& cluster : {chti(), grelon()}) {
+    for (const Cluster& platform : {chti(), grelon()}) {
+      const auto cluster = std::make_shared<const Cluster>(platform);
       for (const std::string cls : {"strassen", "irregular"}) {
         const auto graphs = corpus_by_name(cls, 100, n, seed);
         RunningStats t_plain;
@@ -47,11 +48,11 @@ int main(int argc, char** argv) {
         for (std::size_t i = 0; i < graphs.size(); ++i) {
           EmtsConfig cfg = emts10_config();
           cfg.seed = derive_seed(seed, i);
-          const EmtsResult plain = Emts(cfg).schedule(graphs[i], model,
-                                                      cluster);
+          const auto instance = ProblemInstance::create(
+              std::make_shared<const Ptg>(graphs[i]), model, cluster);
+          const EmtsResult plain = Emts(cfg).schedule(instance);
           cfg.use_rejection = true;
-          const EmtsResult reject = Emts(cfg).schedule(graphs[i], model,
-                                                       cluster);
+          const EmtsResult reject = Emts(cfg).schedule(instance);
           t_plain.add(plain.total_seconds);
           t_reject.add(reject.total_seconds);
           rejected_frac.add(
@@ -61,7 +62,7 @@ int main(int argc, char** argv) {
                        plain.best_allocation == reject.best_allocation;
         }
         table.push_back(
-            {cls, cluster.name(), strfmt("%.2f", t_plain.mean() * 1e3),
+            {cls, platform.name(), strfmt("%.2f", t_plain.mean() * 1e3),
              strfmt("%.2f", t_reject.mean() * 1e3),
              strfmt("%.2fx", t_plain.mean() / t_reject.mean()),
              strfmt("%.1f", rejected_frac.mean() * 100.0),

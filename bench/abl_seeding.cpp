@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     const auto n = static_cast<std::size_t>(cli.get_int("instances"));
     const std::uint64_t seed = cli.get_u64("seed");
     const auto model = make_model(cli.get("model"));
-    const Cluster cluster = grelon();
+    const auto cluster = std::make_shared<const Cluster>(grelon());
 
     const std::vector<std::string> variants = {"all", "mcpa", "delta",
                                                "random"};
@@ -68,12 +68,13 @@ int main(int argc, char** argv) {
       const auto graphs = corpus_by_name(cls, 100, n, seed);
       std::map<std::string, RunningStats> norm;
       for (std::size_t i = 0; i < graphs.size(); ++i) {
+        const auto instance = ProblemInstance::create(
+            std::make_shared<const Ptg>(graphs[i]), model, cluster);
         std::map<std::string, double> makespans;
         for (const std::string& v : variants) {
           EmtsConfig cfg = variant(v);
           cfg.seed = derive_seed(seed, i);
-          makespans[v] =
-              Emts(cfg).schedule(graphs[i], *model, cluster).makespan;
+          makespans[v] = Emts(cfg).schedule(instance).makespan;
         }
         const double ref = makespans["all"];
         for (const std::string& v : variants) {

@@ -119,11 +119,13 @@ int main(int argc, char** argv) {
     const std::string json_path = cli.get("json");
     const double max_hetero_overhead = cli.get_double("max-hetero-overhead");
 
-    const Ptg g = irregular_corpus(tasks, 1, seed).front();
+    const auto graph =
+        std::make_shared<const Ptg>(irregular_corpus(tasks, 1, seed).front());
+    const auto model = std::make_shared<const SyntheticModel>();
     const Cluster cluster = grelon();
-    const SyntheticModel model;
     const int P = cluster.num_processors();
-    const auto instance = ProblemInstance::borrow(g, model, cluster);
+    const auto instance = ProblemInstance::create(
+        graph, model, std::make_shared<const Cluster>(cluster));
 
     // EMTS-10-shaped batches: mutants of the MCPA seed under the paper's
     // mutation operator, generation b of 10.
@@ -169,9 +171,9 @@ int main(int argc, char** argv) {
     std::puts("# vs 1 thread = 1-thread engine seconds / engine seconds; "
               "every lane's fitness sum matched the 1-thread engine lane.");
 
-    const Cluster hetero_cluster = degenerate_hetero_variant(cluster);
-    const auto hetero_instance =
-        ProblemInstance::borrow(g, model, hetero_cluster);
+    const auto hetero_instance = ProblemInstance::create(
+        graph, model,
+        std::make_shared<const Cluster>(degenerate_hetero_variant(cluster)));
     double hetero_sum = std::numeric_limits<double>::quiet_NaN();
     const double hetero =
         best_seconds(hetero_instance, batches, 1, false, reps, hetero_sum);

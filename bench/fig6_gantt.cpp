@@ -30,24 +30,27 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    const auto instance = static_cast<std::size_t>(cli.get_int("instance"));
-    const auto graphs =
-        irregular_corpus(100, instance + 1, cli.get_u64("seed"));
-    const Ptg& g = graphs.back();
-    const Cluster cluster = grelon();
-    const SyntheticModel model;
+    const auto index = static_cast<std::size_t>(cli.get_int("instance"));
+    const auto graphs = irregular_corpus(100, index + 1, cli.get_u64("seed"));
+    const auto instance = ProblemInstance::create(
+        std::make_shared<const Ptg>(graphs.back()),
+        std::make_shared<const SyntheticModel>(),
+        std::make_shared<const Cluster>(grelon()));
+    const Ptg& g = instance->graph();
+    const Cluster& cluster = instance->cluster();
+    const ExecutionTimeModel& model = instance->model();
 
     // MCPA schedule.
     const Allocation mcpa_alloc =
-        make_heuristic("mcpa")->allocate(g, model, cluster);
-    ListScheduler mapper(g, cluster, model);
+        make_heuristic("mcpa")->allocate(*instance);
+    ListScheduler mapper(instance);
     const Schedule mcpa_sched = mapper.build_schedule(mcpa_alloc);
     validate_schedule(mcpa_sched, g, mcpa_alloc, model, cluster);
 
     // EMTS10 schedule.
     EmtsConfig cfg = emts10_config();
     cfg.seed = cli.get_u64("seed");
-    const EmtsResult emts = Emts(cfg).schedule(g, model, cluster);
+    const EmtsResult emts = Emts(cfg).schedule(instance);
     validate_schedule(emts.schedule, g, emts.best_allocation, model, cluster);
 
     const ScheduleMetrics m_mcpa = compute_metrics(mcpa_sched, g);

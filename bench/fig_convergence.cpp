@@ -26,14 +26,17 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
     const std::uint64_t seed = cli.get_u64("seed");
-    const auto instance = static_cast<std::size_t>(cli.get_int("instance"));
+    const auto index = static_cast<std::size_t>(cli.get_int("instance"));
     const auto gens = static_cast<std::size_t>(cli.get_int("generations"));
 
-    const auto graphs = irregular_corpus(100, instance + 1, seed);
+    const auto graphs = irregular_corpus(100, index + 1, seed);
     const Ptg& g = graphs.back();
     const Cluster cluster = grelon();
-    const SyntheticModel model;
-    const MakespanLowerBounds lb = makespan_lower_bounds(g, model, cluster);
+    const auto model = std::make_shared<const SyntheticModel>();
+    const MakespanLowerBounds lb = makespan_lower_bounds(g, *model, cluster);
+    const auto instance =
+        ProblemInstance::create(std::make_shared<const Ptg>(g), model,
+                                std::make_shared<const Cluster>(cluster));
 
     struct Setting {
       const char* label;
@@ -55,7 +58,7 @@ int main(int argc, char** argv) {
       cfg.lambda = s.lambda;
       cfg.generations = gens;
       cfg.seed = seed;
-      results.push_back(Emts(cfg).schedule(g, model, cluster).es);
+      results.push_back(Emts(cfg).schedule(instance).es);
     }
 
     std::vector<std::vector<std::string>> table;

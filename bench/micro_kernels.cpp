@@ -40,6 +40,16 @@ Ptg bench_graph(int tasks) {
   return make_random_ptg(params, rng);
 }
 
+/// The owned problem a benchmark times, built before its timed loop.
+template <typename Model>
+std::shared_ptr<const ProblemInstance> bench_instance(int tasks,
+                                                      Cluster cluster) {
+  return ProblemInstance::create(
+      std::make_shared<const Ptg>(bench_graph(tasks)),
+      std::make_shared<const Model>(),
+      std::make_shared<const Cluster>(std::move(cluster)));
+}
+
 void BM_BottomLevels(benchmark::State& state) {
   const Ptg g = bench_graph(static_cast<int>(state.range(0)));
   const auto topo = topological_order(g);
@@ -55,14 +65,14 @@ void BM_BottomLevels(benchmark::State& state) {
 BENCHMARK(BM_BottomLevels)->Arg(20)->Arg(100)->Arg(500);
 
 void BM_FitnessEvaluation(benchmark::State& state) {
-  const Ptg g = bench_graph(static_cast<int>(state.range(0)));
-  const Cluster cluster("c", static_cast<int>(state.range(1)), 3.1);
-  const SyntheticModel model;
-  ListScheduler sched(g, cluster, model);
+  const auto instance = bench_instance<SyntheticModel>(
+      static_cast<int>(state.range(0)),
+      Cluster("c", static_cast<int>(state.range(1)), 3.1));
+  ListScheduler sched(instance);
   Rng rng(5);
-  Allocation alloc(g.num_tasks());
+  Allocation alloc(instance->num_tasks());
   for (auto& s : alloc) {
-    s = static_cast<int>(rng.uniform_int(1, cluster.num_processors()));
+    s = static_cast<int>(rng.uniform_int(1, instance->num_processors()));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(sched.makespan(alloc));
@@ -81,10 +91,12 @@ BENCHMARK(BM_FitnessEvaluation)
 // devirtualization win the shared problem core buys every evaluation.
 void BM_FitnessTimesSource(benchmark::State& state) {
   const bool use_table = state.range(2) != 0;
-  const Ptg g = bench_graph(static_cast<int>(state.range(0)));
-  const Cluster cluster("c", static_cast<int>(state.range(1)), 3.1);
-  const SyntheticModel model;
-  const auto instance = ProblemInstance::borrow(g, model, cluster);
+  const auto instance = bench_instance<SyntheticModel>(
+      static_cast<int>(state.range(0)),
+      Cluster("c", static_cast<int>(state.range(1)), 3.1));
+  const Ptg& g = instance->graph();
+  const Cluster& cluster = instance->cluster();
+  const ExecutionTimeModel& model = instance->model();
   const double* table = instance->time_table().data();
   const auto stride = static_cast<std::size_t>(cluster.num_processors());
 
@@ -126,23 +138,23 @@ BENCHMARK(BM_FitnessTimesSource)
     ->Args({500, 120, 1});
 
 void BM_CpaAllocation(benchmark::State& state) {
-  const Ptg g = bench_graph(static_cast<int>(state.range(0)));
-  const Cluster cluster = grelon();
-  const AmdahlModel model;
+  const auto instance = bench_instance<AmdahlModel>(
+      static_cast<int>(state.range(0)), grelon());
+  instance->warm();
   const CpaAllocation cpa;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cpa.allocate(g, model, cluster));
+    benchmark::DoNotOptimize(cpa.allocate(*instance));
   }
 }
 BENCHMARK(BM_CpaAllocation)->Arg(20)->Arg(100)->Arg(500);
 
 void BM_McpaAllocation(benchmark::State& state) {
-  const Ptg g = bench_graph(static_cast<int>(state.range(0)));
-  const Cluster cluster = grelon();
-  const AmdahlModel model;
+  const auto instance = bench_instance<AmdahlModel>(
+      static_cast<int>(state.range(0)), grelon());
+  instance->warm();
   const McpaAllocation mcpa;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mcpa.allocate(g, model, cluster));
+    benchmark::DoNotOptimize(mcpa.allocate(*instance));
   }
 }
 BENCHMARK(BM_McpaAllocation)->Arg(20)->Arg(100)->Arg(500);
@@ -168,32 +180,16 @@ void BM_MutateIndividual(benchmark::State& state) {
 BENCHMARK(BM_MutateIndividual)->Arg(20)->Arg(100);
 
 void BM_EmtsFull(benchmark::State& state) {
-  const Ptg g = bench_graph(static_cast<int>(state.range(0)));
-  const Cluster cluster = grelon();
-  const SyntheticModel model;
+  const auto instance = bench_instance<SyntheticModel>(
+      static_cast<int>(state.range(0)), grelon());
   EmtsConfig cfg = emts5_config();
   cfg.seed = 11;
   const Emts emts(cfg);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(emts.schedule(g, model, cluster).makespan);
+    benchmark::DoNotOptimize(emts.schedule(instance).makespan);
   }
 }
 BENCHMARK(BM_EmtsFull)->Arg(20)->Arg(100)->Unit(benchmark::kMillisecond);
-
-// Per-item dispatch: one queue entry (and one lock round-trip) per index.
-void BM_ParallelForPerItem(benchmark::State& state) {
-  ThreadPool pool(3);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::atomic<long long> sink{0};
-  for (auto _ : state) {
-    pool.parallel_for(n, [&](std::size_t i) {
-      sink.fetch_add(static_cast<long long>(i), std::memory_order_relaxed);
-    });
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_ParallelForPerItem)->Arg(100)->Arg(1000);
 
 // Blocked dispatch: one queue entry per helper, blocks claimed atomically.
 void BM_ParallelForBlocked(benchmark::State& state) {
@@ -218,15 +214,13 @@ BENCHMARK(BM_ParallelForBlocked)->Arg(100)->Arg(1000);
 
 // One EMTS-10-sized generation through the persistent evaluation engine.
 void BM_EngineBatch(benchmark::State& state) {
-  const Ptg g = bench_graph(100);
-  const Cluster cluster = grelon();
-  const SyntheticModel model;
+  const auto instance = bench_instance<SyntheticModel>(100, grelon());
   EvalEngineConfig cfg;
   cfg.threads = static_cast<std::size_t>(state.range(0));
-  EvaluationEngine engine(g, model, cluster, {}, cfg);
-  const MutateFn mutate =
-      Emts::make_mutator(MutationParams{}, 0.33, 10, cluster.num_processors());
-  const Allocation base(g.num_tasks(), 4);
+  EvaluationEngine engine(instance, {}, cfg);
+  const MutateFn mutate = Emts::make_mutator(MutationParams{}, 0.33, 10,
+                                             instance->num_processors());
+  const Allocation base(instance->num_tasks(), 4);
   Rng rng(9);
   std::vector<Individual> batch(100);
   for (auto& ind : batch) ind.genes = mutate(base, 0, rng);

@@ -5,6 +5,8 @@
 // cluster alone (CPA allocation + list mapping, i.e. single-cluster HCPA).
 
 #include <cstdio>
+#include <memory>
+#include <vector>
 
 #include "daggen/corpus.hpp"
 #include "heuristics/cpa.hpp"
@@ -29,9 +31,15 @@ int main(int argc, char** argv) {
     const auto n = static_cast<std::size_t>(cli.get_int("instances"));
     const std::uint64_t seed = cli.get_u64("seed");
     const auto model = make_model(cli.get("model"));
+    // Cluster 0 (chti) and cluster 1 (grelon) double as the single-cluster
+    // baselines.
     const MultiClusterPlatform both = chti_grelon();
-    const Cluster small = chti();
-    const Cluster large = grelon();
+    const auto reference =
+        std::make_shared<const Cluster>(both.reference_cluster());
+    std::vector<std::shared_ptr<const Cluster>> clusters;
+    for (std::size_t k = 0; k < both.num_clusters(); ++k) {
+      clusters.push_back(std::make_shared<const Cluster>(both.cluster(k)));
+    }
 
     std::printf("# EXP-T3: multi-cluster HCPA on chti(20x4.3)+grelon"
                 "(120x3.1), model %s\n", model->name().c_str());
@@ -50,13 +58,19 @@ int main(int argc, char** argv) {
       RunningStats speedup;
       bool valid = true;
       for (const auto& g : graphs) {
-        ListScheduler map_small(g, small, *model);
-        ListScheduler map_large(g, large, *model);
-        const double t_small =
-            map_small.makespan(CpaAllocation().allocate(g, *model, small));
-        const double t_large =
-            map_large.makespan(CpaAllocation().allocate(g, *model, large));
-        const McHcpaResult r = McHcpa().schedule(g, *model, both);
+        const auto graph = std::make_shared<const Ptg>(g);
+        std::vector<std::shared_ptr<const ProblemInstance>> instances;
+        for (const auto& c : clusters) {
+          instances.push_back(ProblemInstance::create(graph, model, c));
+        }
+        const auto& small = instances[0];
+        const auto& large = instances[1];
+        const double t_small = ListScheduler(small).makespan(
+            CpaAllocation().allocate(*small));
+        const double t_large = ListScheduler(large).makespan(
+            CpaAllocation().allocate(*large));
+        const McHcpaResult r = McHcpa().schedule(
+            *ProblemInstance::create(graph, model, reference), instances);
         try {
           validate_mc_schedule(r.schedule, g, r.allocation, *model, both);
         } catch (const std::exception&) {

@@ -31,16 +31,20 @@ struct Row {
 
 void measure(const std::string& algo_label, const EmtsConfig& base_cfg,
              const std::string& cls, const std::vector<Ptg>& graphs,
-             const Cluster& cluster, const ExecutionTimeModel& model,
+             const std::shared_ptr<const Cluster>& cluster,
+             const std::shared_ptr<const ExecutionTimeModel>& model,
              std::vector<Row>& rows, std::uint64_t seed) {
   Row row;
   row.algo = algo_label;
   row.cls = cls;
-  row.platform = cluster.name();
+  row.platform = cluster->name();
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     EmtsConfig cfg = base_cfg;
     cfg.seed = derive_seed(seed, i);
-    const EmtsResult r = Emts(cfg).schedule(graphs[i], model, cluster);
+    // total_seconds is timed inside Emts::schedule, after the instance and
+    // the evaluation engine exist.
+    const EmtsResult r = Emts(cfg).schedule(ProblemInstance::create(
+        std::make_shared<const Ptg>(graphs[i]), model, cluster));
     row.seconds.add(r.total_seconds);
   }
   rows.push_back(std::move(row));
@@ -59,12 +63,14 @@ int main(int argc, char** argv) {
     const auto n = static_cast<std::size_t>(cli.get_int("instances"));
     const std::uint64_t seed = cli.get_u64("seed");
 
-    const SyntheticModel model;  // Model 2, as in the paper's Section V-B
+    // Model 2, as in the paper's Section V-B.
+    const auto model = std::make_shared<const SyntheticModel>();
     const auto strassen = strassen_corpus(n, seed);
     const auto irregular = irregular_corpus(100, n, seed);
 
     std::vector<Row> rows;
-    for (const Cluster& cluster : {chti(), grelon()}) {
+    for (const auto& cluster : {std::make_shared<const Cluster>(chti()),
+                                std::make_shared<const Cluster>(grelon())}) {
       measure("emts5", emts5_config(), "strassen(23)", strassen, cluster,
               model, rows, seed);
       measure("emts5", emts5_config(), "irregular(100)", irregular, cluster,

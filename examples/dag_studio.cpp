@@ -63,7 +63,6 @@ int main(int argc, char** argv) {
         cli.get("out").c_str());
 
     if (!cli.get("dot").empty()) {
-      Json::parse("{}");  // ensure support lib linked even in minimal builds
       std::FILE* f = std::fopen(cli.get("dot").c_str(), "w");
       if (f == nullptr) {
         std::fprintf(stderr, "dag_studio: cannot write %s\n",

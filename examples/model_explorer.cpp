@@ -3,8 +3,8 @@
 // speed-up, and efficiency for p = 1..P for a configurable task under any
 // registered model, and flags every non-monotonic step.
 //
-//   ./examples/model_explorer --model=model2 --flops=1e12 --alpha=0.05 \
-//       --platform=grelon --max-procs=32
+//   ./examples/model_explorer --model=model2 --flops=1e12 --alpha=0.05
+//       --platform=grelon --max-procs=32    (one command line)
 
 #include <cstdio>
 

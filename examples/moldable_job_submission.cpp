@@ -38,10 +38,11 @@ int main(int argc, char** argv) {
     if (!cli.parse(argc, argv)) return 0;
     const Cluster full = platform_by_name(cli.get("platform"));
     const auto model = make_model(cli.get("model"));
-    const auto graphs = corpus_by_name(
-        cli.get("class"), static_cast<int>(cli.get_int("tasks")), 1,
-        cli.get_u64("seed"));
-    const Ptg& g = graphs.front();
+    const auto graph = std::make_shared<const Ptg>(
+        corpus_by_name(cli.get("class"), static_cast<int>(cli.get_int("tasks")),
+                       1, cli.get_u64("seed"))
+            .front());
+    const Ptg& g = *graph;
 
     const double base_wait = cli.get_double("base-wait");
     const double exponent = cli.get_double("wait-exponent");
@@ -61,10 +62,12 @@ int main(int argc, char** argv) {
     for (int p = 1; p < P; p *= 2) requests.push_back(p);
     requests.push_back(P);
     for (const int request : requests) {
-      const Cluster partition(full.name() + "-part", request, full.gflops());
+      const auto partition = std::make_shared<const Cluster>(
+          full.name() + "-part", request, full.gflops());
       EmtsConfig cfg = emts5_config();
       cfg.seed = cli.get_u64("seed");
-      const EmtsResult r = Emts(cfg).schedule(g, *model, partition);
+      const EmtsResult r =
+          Emts(cfg).schedule(ProblemInstance::create(graph, model, partition));
       // Larger slices of the machine queue longer (crude backfilling-era
       // model; the point is the tradeoff's shape, not its calibration).
       const double frac = static_cast<double>(request) / P;

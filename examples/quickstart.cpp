@@ -28,11 +28,18 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    // 1. Build a workload: an FFT task graph with random task complexities.
+    // 1. Build a workload: an FFT task graph with random task complexities,
+    //    bundled with the platform and the execution-time model into one
+    //    problem instance that every scheduler below shares.
     Rng rng(cli.get_u64("seed"));
-    const Ptg g = make_fft_ptg(static_cast<int>(cli.get_int("points")), rng);
-    const Cluster cluster = platform_by_name(cli.get("platform"));
+    const auto graph = std::make_shared<const Ptg>(
+        make_fft_ptg(static_cast<int>(cli.get_int("points")), rng));
+    const auto platform =
+        std::make_shared<const Cluster>(platform_by_name(cli.get("platform")));
     const auto model = make_model(cli.get("model"));
+    const auto instance = ProblemInstance::create(graph, model, platform);
+    const Ptg& g = *graph;
+    const Cluster& cluster = *platform;
 
     std::printf("PTG '%s': %zu tasks, %zu edges, total %.3g GFLOP\n",
                 g.name().c_str(), g.num_tasks(), g.num_edges(),
@@ -42,10 +49,10 @@ int main(int argc, char** argv) {
                 cluster.gflops(), model->name().c_str());
 
     // 2. Baselines: allocation heuristic + list-scheduler mapping.
-    ListScheduler mapper(g, cluster, *model);
+    ListScheduler mapper(instance);
     for (const char* name : {"one", "cpa", "hcpa", "mcpa"}) {
       const auto heuristic = make_heuristic(name);
-      const Allocation alloc = heuristic->allocate(g, *model, cluster);
+      const Allocation alloc = heuristic->allocate(*instance);
       std::printf("%-8s makespan %8.3f s\n", name, mapper.makespan(alloc));
     }
 
@@ -53,7 +60,7 @@ int main(int argc, char** argv) {
     EmtsConfig cfg = emts10_config();
     cfg.seed = cli.get_u64("seed");
     const Emts emts(cfg);
-    const EmtsResult result = emts.schedule(g, *model, cluster);
+    const EmtsResult result = emts.schedule(instance);
     std::printf("%-8s makespan %8.3f s  (%zu evaluations, %.2f ms)\n\n",
                 "emts10", result.makespan, result.es.evaluations,
                 result.total_seconds * 1e3);

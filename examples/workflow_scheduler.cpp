@@ -41,12 +41,16 @@ int main(int argc, char** argv) {
   try {
     if (!cli.parse(argc, argv)) return 0;
 
-    const Ptg g = load_ptg(cli.positional("ptg"));
+    const auto graph =
+        std::make_shared<const Ptg>(load_ptg(cli.positional("ptg")));
     const std::string platform_arg = cli.get("platform");
-    const Cluster cluster = std::filesystem::exists(platform_arg)
-                                ? Cluster::load(platform_arg)
-                                : platform_by_name(platform_arg);
+    const auto platform = std::make_shared<const Cluster>(
+        std::filesystem::exists(platform_arg) ? Cluster::load(platform_arg)
+                                              : platform_by_name(platform_arg));
     const auto model = make_model(cli.get("model"));
+    const auto instance = ProblemInstance::create(graph, model, platform);
+    const Ptg& g = *graph;
+    const Cluster& cluster = *platform;
     const std::string algorithm = cli.get("algorithm");
 
     Allocation alloc;
@@ -55,7 +59,7 @@ int main(int argc, char** argv) {
       EmtsConfig cfg =
           algorithm == "emts5" ? emts5_config() : emts10_config();
       cfg.seed = cli.get_u64("seed");
-      const EmtsResult r = Emts(cfg).schedule(g, *model, cluster);
+      const EmtsResult r = Emts(cfg).schedule(instance);
       alloc = r.best_allocation;
       schedule = r.schedule;
       std::printf("seeds:");
@@ -65,8 +69,8 @@ int main(int argc, char** argv) {
       std::printf("\nevaluations: %zu in %.1f ms\n", r.es.evaluations,
                   r.total_seconds * 1e3);
     } else {
-      alloc = make_heuristic(algorithm)->allocate(g, *model, cluster);
-      schedule = map_allocation(g, alloc, *model, cluster);
+      alloc = make_heuristic(algorithm)->allocate(*instance);
+      schedule = ListScheduler(instance).build_schedule(alloc);
     }
     validate_schedule(schedule, g, alloc, *model, cluster);
 

@@ -31,14 +31,10 @@ ProblemInstance::ProblemInstance(
     by_level_[static_cast<std::size_t>(levels_[v])].push_back(v);
   }
 
-  // Dense derived data for the mapping kernel: topo positions, CSR
-  // adjacency in both directions, and the source-task list. Built eagerly
-  // so residual instances (reactive rescheduling) inherit them for free.
+  // Dense derived data for the mapping kernel: CSR adjacency in both
+  // directions and the source-task list. Built eagerly so residual
+  // instances (reactive rescheduling) inherit them for free.
   const std::size_t n = topo_.size();
-  topo_pos_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    topo_pos_[topo_[i]] = static_cast<std::uint32_t>(i);
-  }
   succ_off_.assign(n + 1, 0);
   pred_off_.assign(n + 1, 0);
   for (TaskId v = 0; v < n; ++v) {
@@ -70,19 +66,6 @@ std::shared_ptr<const ProblemInstance> ProblemInstance::create(
     std::shared_ptr<const Cluster> cluster) {
   return std::shared_ptr<const ProblemInstance>(new ProblemInstance(
       std::move(graph), std::move(model), std::move(cluster)));
-}
-
-std::shared_ptr<const ProblemInstance> ProblemInstance::borrow(
-    const Ptg& graph, const ExecutionTimeModel& model,
-    const Cluster& cluster) {
-  // Aliasing shared_ptrs with no control block: the instance references the
-  // caller's objects without owning them.
-  return create(std::shared_ptr<const Ptg>(std::shared_ptr<const Ptg>{},
-                                           &graph),
-                std::shared_ptr<const ExecutionTimeModel>(
-                    std::shared_ptr<const ExecutionTimeModel>{}, &model),
-                std::shared_ptr<const Cluster>(
-                    std::shared_ptr<const Cluster>{}, &cluster));
 }
 
 ResidualProblem ProblemInstance::residual(

@@ -10,20 +10,25 @@
 //
 //   * the topological order and precedence levels of the graph,
 //   * the level grouping used by MCPA and the Delta-critical seed,
+//   * CSR successor/predecessor arrays and the source tasks, which the
+//     mapping kernel and the CPA sweep iterate,
 //   * bottom/top levels under the sequential (p = 1) execution times,
 //   * a dense V x P execution-time table T[v][p] that turns the model's
-//     virtual dispatch into an array lookup on every hot path.
+//     virtual dispatch into an array lookup on every hot path,
+//   * on heterogeneous clusters, the per-(task, processor) time table and
+//     the average-speed (HEFT) ranks.
 //
 // Thread-safety contract: instances are immutable after construction; the
-// lazily-built blocks (time table, sequential levels) are built exactly
+// lazily-built blocks (time tables, levels, ranks) are built exactly
 // once under std::call_once, so any number of threads may share one
 // instance through a shared_ptr<const ProblemInstance>. The evaluation
 // engine's slots, the heuristics, and the experiment drivers all hold the
 // same instance instead of threading three loose references around.
 //
-// Ownership: create() shares ownership of its inputs (the instance keeps
-// them alive); borrow() wraps caller-owned references for the adapter
-// paths — the referents must outlive the instance (DESIGN.md section 9).
+// Ownership: create() is the only way to build an instance. It shares
+// ownership of its inputs, so the instance (and every scheduler, engine or
+// residual holding it) keeps graph, model and cluster alive on its own
+// (DESIGN.md section 9).
 
 #include <cstdint>
 #include <memory>
@@ -62,22 +67,14 @@ class ProblemInstance
       std::shared_ptr<const ExecutionTimeModel> model,
       std::shared_ptr<const Cluster> cluster);
 
-  /// Non-owning construction for the legacy reference-based call sites:
-  /// the caller guarantees graph, model and cluster outlive the instance
-  /// (and everything — schedulers, engines — holding it).
-  [[nodiscard]] static std::shared_ptr<const ProblemInstance> borrow(
-      const Ptg& graph, const ExecutionTimeModel& model,
-      const Cluster& cluster);
-
   /// Prune the tasks marked true in `completed` (size = num_tasks()) and
   /// rebuild the problem over the survivors on `cluster`: the residual
   /// graph copies the surviving Task structs (and every edge between two
   /// survivors; edges from completed tasks are satisfied dependencies and
   /// drop out), shares this instance's execution-time model, and is
   /// validated like any created instance. With every task completed the
-  /// returned instance is null. The model's lifetime follows this
-  /// instance's ownership mode: a borrowed base instance yields a residual
-  /// that borrows the same model, so the original referent must stay alive.
+  /// returned instance is null. The residual shares ownership of the model,
+  /// so it stays valid after this instance is gone.
   [[nodiscard]] ResidualProblem residual(
       const std::vector<bool>& completed,
       std::shared_ptr<const Cluster> cluster) const;
@@ -99,13 +96,6 @@ class ProblemInstance
   // Structure (built eagerly; O(V + E)). -------------------------------
   [[nodiscard]] std::span<const TaskId> topo_order() const noexcept {
     return topo_;
-  }
-  /// Position of each task in topo_order(): topo_order()[topo_position(v)]
-  /// == v. The mapping kernel's bottom-level patching orders its worklist
-  /// by this.
-  [[nodiscard]] std::span<const std::uint32_t> topo_positions()
-      const noexcept {
-    return topo_pos_;
   }
 
   // Dense CSR adjacency (built eagerly; O(V + E)). The mapping kernel
@@ -194,7 +184,6 @@ class ProblemInstance
   int p_ = 0;
 
   std::vector<TaskId> topo_;
-  std::vector<std::uint32_t> topo_pos_;
   std::vector<int> levels_;
   int num_levels_ = 0;
   std::vector<std::vector<TaskId>> by_level_;

@@ -47,7 +47,9 @@ Ptg make_random_ptg(const RandomDagParams& params, Rng& rng) {
     level.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) {
       Task t;
-      t.name = "t" + std::to_string(created + i);
+      // append() rather than "t" + ...: GCC 12 reports a false -Wrestrict
+      // on a literal plus a temporary string.
+      t.name = std::string("t").append(std::to_string(created + i));
       t.flops = 1.0;
       level.push_back(g.add_task(std::move(t)));
     }

@@ -63,9 +63,14 @@ TrackedMutateFn Emts::make_tracked_mutator(MutationParams params, double fm,
   };
 }
 
-EmtsResult Emts::schedule(const Ptg& g, const ExecutionTimeModel& model,
-                          const Cluster& cluster) const {
-  return schedule(ProblemInstance::borrow(g, model, cluster));
+EvalEngineConfig Emts::engine_config() const {
+  EvalEngineConfig engine_cfg;
+  engine_cfg.threads = config_.threads;
+  engine_cfg.use_rejection = config_.use_rejection;
+  engine_cfg.memoize = config_.memoize;
+  engine_cfg.kernel = config_.kernel;
+  engine_cfg.cancel = config_.cancel;
+  return engine_cfg;
 }
 
 EmtsResult Emts::schedule(
@@ -76,13 +81,7 @@ EmtsResult Emts::schedule(
   // The engine owns the whole evaluation hot path for this run: per-slot
   // list schedulers, the persistent worker pool, the memo cache, and the
   // rejection incumbent (published by the ES between selections).
-  EvalEngineConfig engine_cfg;
-  engine_cfg.threads = config_.threads;
-  engine_cfg.use_rejection = config_.use_rejection;
-  engine_cfg.memoize = config_.memoize;
-  engine_cfg.kernel = config_.kernel;
-  engine_cfg.cancel = config_.cancel;
-  EvaluationEngine engine(instance, config_.mapping, engine_cfg);
+  EvaluationEngine engine(instance, config_.mapping, engine_config());
   return schedule(engine);
 }
 

@@ -105,6 +105,11 @@ class Emts {
 
   [[nodiscard]] const EmtsConfig& config() const noexcept { return config_; }
 
+  /// The evaluation-engine configuration schedule(instance) builds its
+  /// engine with: threads, rejection, memo, kernel and cancellation token
+  /// taken from config().
+  [[nodiscard]] EvalEngineConfig engine_config() const;
+
   /// Run the full EMTS pipeline against a shared problem core (the
   /// heuristic seeds, every fitness evaluation, and the final mapping all
   /// read the same precomputed instance).
@@ -119,11 +124,6 @@ class Emts {
   /// to a cold one. EmtsResult::eval_stats covers this run only. The
   /// engine must be quiescent (one run per engine at a time).
   [[nodiscard]] EmtsResult schedule(EvaluationEngine& engine) const;
-
-  /// Legacy adapter: borrows the references for the duration of the call.
-  [[nodiscard]] EmtsResult schedule(const Ptg& g,
-                                    const ExecutionTimeModel& model,
-                                    const Cluster& cluster) const;
 
   /// The mutation operator EMTS plugs into the generic ES; exposed for
   /// tests and ablations. `U` and `P` are fixed per run.

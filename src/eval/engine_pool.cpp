@@ -38,11 +38,8 @@ EnginePool::Lease EnginePool::acquire(
   if (engine == nullptr) {
     // Built outside the lock: instance construction + engine warm-up is
     // the expensive path and must not serialize unrelated acquires.
-    EvalEngineConfig cfg;
-    cfg.threads = config_.threads_per_engine;
-    cfg.memoize = config_.memoize;
-    engine = std::make_unique<EvaluationEngine>(make_instance(),
-                                               config_.mapping, cfg);
+    engine = std::make_unique<EvaluationEngine>(
+        make_instance(), config_.mapping, engine_config());
   }
   // Per-run state must not leak between requests: the token belongs to the
   // previous request, the stats to its report, and a stale incumbent bound
@@ -71,6 +68,13 @@ void EnginePool::check_in(std::uint64_t key,
     idle_.erase(oldest);
     ++evictions_;
   }
+}
+
+EvalEngineConfig EnginePool::engine_config() const {
+  EvalEngineConfig cfg;
+  cfg.threads = config_.threads_per_engine;
+  cfg.memoize = config_.memoize;
+  return cfg;
 }
 
 EnginePool::Stats EnginePool::stats() const {

@@ -105,6 +105,11 @@ class EnginePool {
 
   [[nodiscard]] Stats stats() const;
 
+  /// The configuration acquire() builds fresh engines with
+  /// (Config::threads_per_engine and Config::memoize; everything else at
+  /// its EvalEngineConfig default).
+  [[nodiscard]] EvalEngineConfig engine_config() const;
+
  private:
   struct IdleEntry {
     std::uint64_t key = 0;

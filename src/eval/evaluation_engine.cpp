@@ -60,14 +60,6 @@ EvaluationEngine::EvaluationEngine(
   memo_state_ = std::make_unique<MemoProbeState[]>(slots);
 }
 
-EvaluationEngine::EvaluationEngine(const Ptg& g,
-                                   const ExecutionTimeModel& model,
-                                   const Cluster& cluster,
-                                   ListSchedulerOptions mapping,
-                                   EvalEngineConfig config)
-    : EvaluationEngine(ProblemInstance::borrow(g, model, cluster), mapping,
-                       config) {}
-
 bool EvaluationEngine::cache_lookup(std::uint64_t key,
                                     const Allocation& alloc, double* out) {
   CacheShard& shard = cache_shards_[key % kCacheShards];

@@ -112,17 +112,11 @@ struct EvalStats {
 /// calls it from a single driver thread).
 class EvaluationEngine final : public BatchEvaluator {
  public:
-  /// Primary constructor: every evaluation slot shares `instance` (which
-  /// is warmed once, so no worker ever stalls on the lazy builds).
+  /// Every evaluation slot shares `instance` (which is warmed once, so no
+  /// worker ever stalls on the lazy builds).
   explicit EvaluationEngine(std::shared_ptr<const ProblemInstance> instance,
                             ListSchedulerOptions mapping = {},
                             EvalEngineConfig config = {});
-
-  /// Legacy adapter: borrows the references (they must outlive the
-  /// engine).
-  EvaluationEngine(const Ptg& g, const ExecutionTimeModel& model,
-                   const Cluster& cluster, ListSchedulerOptions mapping = {},
-                   EvalEngineConfig config = {});
 
   // BatchEvaluator interface -------------------------------------------
   void evaluate_batch(std::vector<Individual>& pool,

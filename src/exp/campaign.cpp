@@ -352,7 +352,7 @@ Json run_campaign(const CampaignConfig& config,
   // comparison phases: per-instance checkpointing, retry, cancellation.
   if (!cancelled && !cancel_requested()) {
     const auto model = make_model("model2");
-    const Cluster cluster = grelon();
+    const auto cluster = std::make_shared<const Cluster>(grelon());
     const std::size_t count = config.instances > 0 ? config.instances : 24;
     const auto graphs =
         irregular_corpus(config.num_tasks, count, config.seed);
@@ -394,8 +394,8 @@ Json run_campaign(const CampaignConfig& config,
           }
           // One shared problem core per gap unit: EMTS and the lower
           // bounds below read the same precomputed tables.
-          const auto instance =
-              ProblemInstance::borrow(graphs[i], *model, cluster);
+          const auto instance = ProblemInstance::create(
+              std::make_shared<const Ptg>(graphs[i]), model, cluster);
           const EmtsResult r = Emts(ecfg).schedule(instance);
           if (r.cancelled) {
             throw CancelledError(
@@ -404,7 +404,7 @@ Json run_campaign(const CampaignConfig& config,
                                          : CancelReason::kNone);
           }
           const MakespanLowerBounds lb =
-              makespan_lower_bounds(graphs[i], *model, cluster);
+              makespan_lower_bounds(graphs[i], *model, *cluster);
           const double gap = r.makespan / lb.combined();
           gaps.add(gap);
           if (journal) {
@@ -472,7 +472,7 @@ Json run_campaign(const CampaignConfig& config,
   // policies' degraded makespans are directly comparable.
   if (config.faults && !cancelled && !cancel_requested()) {
     const auto model = make_model("model2");
-    const Cluster cluster = chti();
+    const auto cluster = std::make_shared<const Cluster>(chti());
     RobustnessOptions opts;
     opts.faults = config.fault_model;
     opts.policies = config.reschedule_policies;
@@ -525,8 +525,8 @@ Json run_campaign(const CampaignConfig& config,
                                   cls_salt ^ splitmix64(
                                       static_cast<std::uint64_t>(attempt)),
                                   i);
-            const auto instance =
-                ProblemInstance::borrow(graphs[i], *model, cluster);
+            const auto instance = ProblemInstance::create(
+                std::make_shared<const Ptg>(graphs[i]), model, cluster);
             RobustnessUnitResult u =
                 run_robustness_unit(instance, opts, cls, "chti", i, seed);
             if (journal) {

@@ -37,9 +37,9 @@ std::uint64_t unit_seed(std::uint64_t base, const std::string& cls,
 InstanceResult run_unit(const ComparisonConfig& config,
                         const ComparisonHooks& hooks, const std::string& cls,
                         const Ptg& g, const std::string& platform_name,
-                        const Cluster& cluster,
-                        const ExecutionTimeModel& model, std::size_t index,
-                        int attempt) {
+                        const std::shared_ptr<const Cluster>& cluster,
+                        const std::shared_ptr<const ExecutionTimeModel>& model,
+                        std::size_t index, int attempt) {
   InstanceResult ir;
   ir.cls = cls;
   ir.graph = g.name();
@@ -50,9 +50,9 @@ InstanceResult run_unit(const ComparisonConfig& config,
 
   // One shared problem core per unit: the baseline heuristics, their
   // mapping, and the whole EMTS run below read the same precomputed
-  // tables. Borrowed: g, model and cluster are owned by the caller and
-  // outlive the unit.
-  const auto instance = ProblemInstance::borrow(g, model, cluster);
+  // tables. It owns a copy of the corpus graph.
+  const auto instance =
+      ProblemInstance::create(std::make_shared<const Ptg>(g), model, cluster);
 
   // Baselines: allocation heuristic + shared list-scheduler mapping.
   ListScheduler mapper(instance, config.emts.mapping);
@@ -220,7 +220,8 @@ ComparisonResult run_comparison(const ComparisonConfig& config,
     if (result.cancelled) break;
     for (const std::string& platform_name : config.platforms) {
       if (result.cancelled) break;
-      const Cluster cluster = platform_by_name(platform_name);
+      const auto cluster =
+          std::make_shared<const Cluster>(platform_by_name(platform_name));
       for (std::size_t i = 0; i < graphs.size(); ++i) {
         if (hooks.cancel != nullptr && hooks.cancel->cancelled()) {
           result.cancelled = true;
@@ -253,7 +254,7 @@ ComparisonResult run_comparison(const ComparisonConfig& config,
               hooks.before_attempt(cls, platform_name, i, attempt);
             }
             InstanceResult ir = run_unit(config, hooks, cls, graphs[i],
-                                         platform_name, cluster, *model, i,
+                                         platform_name, cluster, model, i,
                                          attempt);
             if (hooks.on_unit) hooks.on_unit(ir);
             result.instances.push_back(std::move(ir));

@@ -7,20 +7,15 @@
 // with the shared list scheduler — mirroring the decoupled two-step
 // structure the paper builds on.
 //
-// The primary interface takes a ProblemInstance, so every heuristic reads
+// The interface takes a ProblemInstance, so every heuristic reads
 // precomputed topological orders, precedence levels and execution times
-// from the shared core instead of re-deriving them per call; the
-// three-reference overload is a thin adapter kept for callers that do not
-// hold an instance yet.
+// from the shared core instead of re-deriving them per call.
 
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/problem_instance.hpp"
-#include "model/execution_time.hpp"
-#include "platform/cluster.hpp"
-#include "ptg/graph.hpp"
 #include "sched/allocation.hpp"
 
 namespace ptgsched {
@@ -33,15 +28,6 @@ class AllocationHeuristic {
   /// (each entry in [1, P]).
   [[nodiscard]] virtual Allocation allocate(
       const ProblemInstance& instance) const = 0;
-
-  /// Adapter for callers without a ProblemInstance at hand: borrows the
-  /// references for the duration of the call. Derived classes re-export it
-  /// with `using AllocationHeuristic::allocate;`.
-  [[nodiscard]] Allocation allocate(const Ptg& g,
-                                    const ExecutionTimeModel& model,
-                                    const Cluster& cluster) const {
-    return allocate(*ProblemInstance::borrow(g, model, cluster));
-  }
 
   [[nodiscard]] virtual std::string name() const = 0;
 };

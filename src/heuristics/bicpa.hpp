@@ -26,7 +26,6 @@ class BicpaAllocation : public AllocationHeuristic {
   /// for scheduling speed.
   explicit BicpaAllocation(int stride = 1, ListSchedulerOptions mapping = {});
 
-  using AllocationHeuristic::allocate;
   [[nodiscard]] Allocation allocate(
       const ProblemInstance& instance) const override;
   [[nodiscard]] std::string name() const override { return "bicpa"; }

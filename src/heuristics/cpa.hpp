@@ -30,7 +30,6 @@ namespace ptgsched {
 
 class CpaAllocation : public AllocationHeuristic {
  public:
-  using AllocationHeuristic::allocate;
   [[nodiscard]] Allocation allocate(
       const ProblemInstance& instance) const override;
   [[nodiscard]] std::string name() const override { return "cpa"; }
@@ -38,7 +37,6 @@ class CpaAllocation : public AllocationHeuristic {
 
 class HcpaAllocation : public AllocationHeuristic {
  public:
-  using AllocationHeuristic::allocate;
   [[nodiscard]] Allocation allocate(
       const ProblemInstance& instance) const override;
   [[nodiscard]] std::string name() const override { return "hcpa"; }
@@ -46,7 +44,6 @@ class HcpaAllocation : public AllocationHeuristic {
 
 class McpaAllocation : public AllocationHeuristic {
  public:
-  using AllocationHeuristic::allocate;
   [[nodiscard]] Allocation allocate(
       const ProblemInstance& instance) const override;
   [[nodiscard]] std::string name() const override { return "mcpa"; }
@@ -54,7 +51,6 @@ class McpaAllocation : public AllocationHeuristic {
 
 class Mcpa2Allocation : public AllocationHeuristic {
  public:
-  using AllocationHeuristic::allocate;
   [[nodiscard]] Allocation allocate(
       const ProblemInstance& instance) const override;
   [[nodiscard]] std::string name() const override { return "mcpa2"; }

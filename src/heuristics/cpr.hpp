@@ -22,7 +22,6 @@ class CprAllocation : public AllocationHeuristic {
   explicit CprAllocation(ListSchedulerOptions mapping = {})
       : mapping_(mapping) {}
 
-  using AllocationHeuristic::allocate;
   [[nodiscard]] Allocation allocate(
       const ProblemInstance& instance) const override;
   [[nodiscard]] std::string name() const override { return "cpr"; }

@@ -17,7 +17,6 @@ class DeltaCriticalAllocation : public AllocationHeuristic {
  public:
   explicit DeltaCriticalAllocation(double delta = 0.9);
 
-  using AllocationHeuristic::allocate;
   [[nodiscard]] Allocation allocate(
       const ProblemInstance& instance) const override;
   [[nodiscard]] std::string name() const override { return "delta"; }
@@ -32,7 +31,6 @@ class DeltaCriticalAllocation : public AllocationHeuristic {
 /// data-parallel-free schedule).
 class OneEachAllocation : public AllocationHeuristic {
  public:
-  using AllocationHeuristic::allocate;
   [[nodiscard]] Allocation allocate(
       const ProblemInstance& instance) const override;
   [[nodiscard]] std::string name() const override { return "one"; }

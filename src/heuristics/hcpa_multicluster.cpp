@@ -6,22 +6,6 @@
 
 namespace ptgsched {
 
-namespace {
-
-std::vector<std::shared_ptr<const ProblemInstance>> borrow_clusters(
-    const Ptg& g, const ExecutionTimeModel& model,
-    const MultiClusterPlatform& platform) {
-  std::vector<std::shared_ptr<const ProblemInstance>> clusters;
-  clusters.reserve(platform.num_clusters());
-  for (std::size_t k = 0; k < platform.num_clusters(); ++k) {
-    clusters.push_back(
-        ProblemInstance::borrow(g, model, platform.cluster(k)));
-  }
-  return clusters;
-}
-
-}  // namespace
-
 McAllocation McHcpa::translate(
     const Allocation& reference_alloc, const ProblemInstance& reference,
     std::span<const std::shared_ptr<const ProblemInstance>> clusters) {
@@ -51,34 +35,20 @@ McAllocation McHcpa::translate(
   return out;
 }
 
-McAllocation McHcpa::translate(const Ptg& g,
-                               const Allocation& reference_alloc,
-                               const ExecutionTimeModel& model,
-                               const MultiClusterPlatform& platform) {
-  const Cluster reference = platform.reference_cluster();
-  const auto reference_pi = ProblemInstance::borrow(g, model, reference);
-  return translate(reference_alloc, *reference_pi,
-                   borrow_clusters(g, model, platform));
-}
-
-McHcpaResult McHcpa::schedule(const Ptg& g, const ExecutionTimeModel& model,
-                              const MultiClusterPlatform& platform) const {
+McHcpaResult McHcpa::schedule(
+    const ProblemInstance& reference,
+    std::span<const std::shared_ptr<const ProblemInstance>> clusters) const {
+  const Ptg& g = reference.graph();
   McHcpaResult result;
-  // The reference cluster is returned by value: keep it alive for the
-  // whole pipeline, the borrowed instance references it.
-  const Cluster reference = platform.reference_cluster();
-  const auto reference_pi = ProblemInstance::borrow(g, model, reference);
-  const auto clusters = borrow_clusters(g, model, platform);
-
-  result.reference_allocation = CpaAllocation().allocate(*reference_pi);
+  result.reference_allocation = CpaAllocation().allocate(reference);
   result.allocation =
-      translate(result.reference_allocation, *reference_pi, clusters);
+      translate(result.reference_allocation, reference, clusters);
 
   // Priorities: reference-cluster execution times (the bottom levels HCPA
   // computed during its allocation step).
   std::vector<double> priority(g.num_tasks());
   for (TaskId v = 0; v < g.num_tasks(); ++v) {
-    priority[v] = reference_pi->time(v, result.reference_allocation[v]);
+    priority[v] = reference.time(v, result.reference_allocation[v]);
   }
   result.schedule = map_mc_allocation(result.allocation, clusters, priority);
   return result;

@@ -14,10 +14,10 @@
 //   4. Map with a bottom-level list scheduler that places each ready task
 //      on the cluster finishing it earliest.
 //
-// The pipeline builds one ProblemInstance per real cluster (plus one for
-// the reference cluster) up front, so the execution-time tables are
-// computed once and shared by the allocation, translation and mapping
-// steps.
+// The pipeline reads one ProblemInstance per real cluster plus one for
+// the reference cluster, all over one shared graph, so the execution-time
+// tables are computed once and shared by the allocation, translation and
+// mapping steps.
 //
 // On a platform with a single homogeneous cluster the reference cluster
 // equals the real one, translations are the identity, and the result
@@ -47,15 +47,13 @@ class McHcpa {
       const Allocation& reference_alloc, const ProblemInstance& reference,
       std::span<const std::shared_ptr<const ProblemInstance>> clusters);
 
-  /// Legacy adapter: borrows instances for the duration of the call.
-  [[nodiscard]] static McAllocation translate(
-      const Ptg& g, const Allocation& reference_alloc,
-      const ExecutionTimeModel& model, const MultiClusterPlatform& platform);
-
   /// Full pipeline: allocate on the reference cluster, translate, map.
+  /// `reference` is the problem on the platform's reference_cluster();
+  /// `clusters` holds one instance per real cluster (cluster k = lane k),
+  /// all sharing the reference's graph.
   [[nodiscard]] McHcpaResult schedule(
-      const Ptg& g, const ExecutionTimeModel& model,
-      const MultiClusterPlatform& platform) const;
+      const ProblemInstance& reference,
+      std::span<const std::shared_ptr<const ProblemInstance>> clusters) const;
 };
 
 }  // namespace ptgsched

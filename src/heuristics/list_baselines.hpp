@@ -28,7 +28,6 @@ namespace ptgsched {
 
 class HeftAllocation : public AllocationHeuristic {
  public:
-  using AllocationHeuristic::allocate;
   [[nodiscard]] Allocation allocate(
       const ProblemInstance& instance) const override;
   [[nodiscard]] std::string name() const override { return "heft"; }
@@ -36,7 +35,6 @@ class HeftAllocation : public AllocationHeuristic {
 
 class PeftAllocation : public AllocationHeuristic {
  public:
-  using AllocationHeuristic::allocate;
   [[nodiscard]] Allocation allocate(
       const ProblemInstance& instance) const override;
   [[nodiscard]] std::string name() const override { return "peft"; }

@@ -18,6 +18,12 @@ struct FieldError {
   std::string detail;
 };
 
+/// Row-major offset of cell (i, j) in a p x p link-cost matrix.
+std::size_t link_index(int i, int j, int p) {
+  return static_cast<std::size_t>(i) * static_cast<std::size_t>(p) +
+         static_cast<std::size_t>(j);
+}
+
 void check_speeds(const std::vector<double>& speeds, int p) {
   if (speeds.empty()) return;
   if (static_cast<int>(speeds.size()) != p) {
@@ -46,7 +52,7 @@ void check_comm(const std::vector<double>& comm, int p) {
   }
   for (int i = 0; i < p; ++i) {
     for (int j = 0; j < p; ++j) {
-      const double c = comm[static_cast<std::size_t>(i) * p + j];
+      const double c = comm[link_index(i, j, p)];
       const std::string cell = "comm_costs[" + std::to_string(i) + "][" +
                                std::to_string(j) + "]";
       if (!std::isfinite(c) || c < 0.0) {
@@ -55,7 +61,7 @@ void check_comm(const std::vector<double>& comm, int p) {
       if (i == j && c != 0.0) {
         throw FieldError{cell, "diagonal (same-processor) cost must be 0"};
       }
-      const double mirror = comm[static_cast<std::size_t>(j) * p + i];
+      const double mirror = comm[link_index(j, i, p)];
       if (c != mirror) {
         throw FieldError{cell, "matrix must be symmetric (differs from [" +
                                    std::to_string(j) + "][" +
@@ -116,7 +122,7 @@ double Cluster::comm_cost(int from, int to) const {
     throw PlatformError("Cluster::comm_cost: processor out of range");
   }
   if (comm_.empty()) return 0.0;
-  return comm_[static_cast<std::size_t>(from) * p_ + to];
+  return comm_[link_index(from, to, p_)];
 }
 
 double Cluster::mean_relative_speed() const noexcept {
@@ -131,7 +137,7 @@ double Cluster::mean_comm_cost() const noexcept {
   double sum = 0.0;
   for (int i = 0; i < p_; ++i) {
     for (int j = 0; j < p_; ++j) {
-      if (i != j) sum += comm_[static_cast<std::size_t>(i) * p_ + j];
+      if (i != j) sum += comm_[link_index(i, j, p_)];
     }
   }
   return sum / (static_cast<double>(p_) * (p_ - 1));
@@ -232,11 +238,12 @@ Cluster heterogeneous_variant(const Cluster& base, double link_cost) {
   static constexpr double kCycle[] = {1.0, 0.75, 1.25, 0.5};
   const int p = base.num_processors();
   std::vector<double> speeds(static_cast<std::size_t>(p));
-  for (int j = 0; j < p; ++j) speeds[j] = kCycle[j % 4];
+  for (std::size_t j = 0; j < speeds.size(); ++j) speeds[j] = kCycle[j % 4];
   std::vector<double> comm;
   if (link_cost > 0.0) {
-    comm.assign(static_cast<std::size_t>(p) * p, link_cost);
-    for (int j = 0; j < p; ++j) comm[static_cast<std::size_t>(j) * p + j] = 0.0;
+    comm.assign(static_cast<std::size_t>(p) * static_cast<std::size_t>(p),
+                link_cost);
+    for (int j = 0; j < p; ++j) comm[link_index(j, j, p)] = 0.0;
   }
   return Cluster(base.name() + "-hetero", p, base.gflops(), std::move(speeds),
                  std::move(comm));
@@ -245,7 +252,8 @@ Cluster heterogeneous_variant(const Cluster& base, double link_cost) {
 Cluster degenerate_hetero_variant(const Cluster& base) {
   const int p = base.num_processors();
   std::vector<double> speeds(static_cast<std::size_t>(p), 1.0);
-  std::vector<double> comm(static_cast<std::size_t>(p) * p, 0.0);
+  std::vector<double> comm(
+      static_cast<std::size_t>(p) * static_cast<std::size_t>(p), 0.0);
   return Cluster(base.name(), p, base.gflops(), std::move(speeds),
                  std::move(comm));
 }

@@ -115,8 +115,10 @@ std::string ptg_to_dot(const Ptg& g) {
   out << "  rankdir=TB;\n  node [shape=box];\n";
   for (TaskId v = 0; v < g.num_tasks(); ++v) {
     const Task& t = g.task(v);
+    // append() rather than "v" + ...: GCC 12 reports a false -Wrestrict
+    // on a literal plus a temporary string.
     const std::string label =
-        t.name.empty() ? ("v" + std::to_string(v)) : t.name;
+        t.name.empty() ? std::string("v").append(std::to_string(v)) : t.name;
     out << "  n" << v << " [label=\"" << label << "\\n"
         << strfmt("%.3g", t.flops) << " FLOP\"];\n";
   }

@@ -7,14 +7,16 @@
 //   using namespace ptgsched;
 //
 //   Rng rng(42);
-//   Ptg graph = make_fft_ptg(16, rng);      // or load_ptg("workflow.json")
-//   Cluster cluster = grelon();             // 120 x 3.1 GFLOPS
+//   auto graph = std::make_shared<const Ptg>(
+//       make_fft_ptg(16, rng));             // or load_ptg("workflow.json")
+//   auto cluster = std::make_shared<const Cluster>(grelon());  // 120 x 3.1
 //   auto model = make_model("model2");      // non-monotonic synthetic model
+//   auto problem = ProblemInstance::create(graph, model, cluster);
 //
 //   Emts emts(emts5_config());
-//   EmtsResult result = emts.schedule(graph, *model, cluster);
-//   validate_schedule(result.schedule, graph, result.best_allocation,
-//                     *model, cluster);
+//   EmtsResult result = emts.schedule(problem);
+//   validate_schedule(result.schedule, *graph, result.best_allocation,
+//                     *model, *cluster);
 //
 // Individual headers can be included directly for faster builds.
 

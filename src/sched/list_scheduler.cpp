@@ -45,11 +45,6 @@ ListScheduler::ListScheduler(std::shared_ptr<const ProblemInstance> instance,
   }
 }
 
-ListScheduler::ListScheduler(const Ptg& g, const Cluster& cluster,
-                             const ExecutionTimeModel& model,
-                             ListSchedulerOptions options)
-    : ListScheduler(ProblemInstance::borrow(g, model, cluster), options) {}
-
 double ListScheduler::makespan(const Allocation& alloc) {
   return run(alloc, nullptr);
 }
@@ -83,14 +78,6 @@ double ListScheduler::run(const Allocation& alloc, Schedule* out,
   return with_place(alloc, [&](const auto& place) {
     return core_.run(times_, options_.selection, upper_bound, out, place);
   });
-}
-
-Schedule map_allocation(const Ptg& g, const Allocation& alloc,
-                        const ExecutionTimeModel& model,
-                        const Cluster& cluster,
-                        ListSchedulerOptions options) {
-  ListScheduler sched(g, cluster, model, options);
-  return sched.build_schedule(alloc);
 }
 
 }  // namespace ptgsched

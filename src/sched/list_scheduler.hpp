@@ -44,17 +44,10 @@ struct ListSchedulerOptions {
 /// number of them may share one ProblemInstance).
 class ListScheduler {
  public:
-  /// Primary constructor: shares the problem core (and thereby keeps the
-  /// graph, model and cluster alive for the scheduler's whole lifetime).
+  /// Shares the problem core (and thereby keeps the graph, model and
+  /// cluster alive for the scheduler's whole lifetime).
   explicit ListScheduler(std::shared_ptr<const ProblemInstance> instance,
                          ListSchedulerOptions options = {});
-
-  /// Legacy adapter: wraps caller-owned references in a borrowed
-  /// ProblemInstance (the referents must outlive the scheduler). Prefer
-  /// the shared-instance constructor, which has no lifetime hazard.
-  ListScheduler(const Ptg& g, const Cluster& cluster,
-                const ExecutionTimeModel& model,
-                ListSchedulerOptions options = {});
 
   /// Makespan of the schedule produced for `alloc` (fitness fast path).
   [[nodiscard]] double makespan(const Allocation& alloc);
@@ -145,11 +138,5 @@ class ListScheduler {
   /// load_times stages it together with times_.
   std::vector<int> lane_of_;
 };
-
-/// One-shot convenience wrapper.
-[[nodiscard]] Schedule map_allocation(const Ptg& g, const Allocation& alloc,
-                                      const ExecutionTimeModel& model,
-                                      const Cluster& cluster,
-                                      ListSchedulerOptions options = {});
 
 }  // namespace ptgsched

@@ -62,15 +62,10 @@
 #include <variant>
 #include <vector>
 
-#if defined(PTGSCHED_SIMD) && defined(__AVX2__)
-#include <immintrin.h>
-#endif
-
 #include "core/problem_instance.hpp"
 #include "ptg/graph.hpp"
 #include "sched/schedule.hpp"
 #include "support/dary_heap.hpp"
-#include "support/small_index.hpp"
 
 namespace ptgsched {
 
@@ -141,28 +136,13 @@ class MappingKernel {
   /// lane, and `task_lane[v]` is the lane every placement for task v will
   /// name — the driver keeps the buffer current across passes (the kernel
   /// reads it when charging edge costs toward successors). Both pointers
-  /// must stay valid until cleared.
+  /// must stay valid for the kernel's lifetime.
   void set_comm_context(const double* comm, std::size_t stride,
                         const int* task_lane) noexcept {
     comm_ = comm;
     comm_stride_ = stride;
     task_lane_ = task_lane;
   }
-  void clear_comm_context() noexcept {
-    comm_ = nullptr;
-    comm_stride_ = 0;
-    task_lane_ = nullptr;
-  }
-  /// True when a communication context is installed (the kComm paths run).
-  [[nodiscard]] bool comm_active() const noexcept { return comm_ != nullptr; }
-
-  [[nodiscard]] std::size_t num_lanes() const noexcept {
-    return lanes_.size();
-  }
-  [[nodiscard]] const MappingLane& lane(std::size_t k) const {
-    return lanes_[k];
-  }
-  [[nodiscard]] std::size_t num_tasks() const noexcept { return n_; }
 
   /// Number of passes rejected early by the upper bound since construction
   /// or the last reset_stats(). Atomic (relaxed): the evaluation engine
@@ -295,32 +275,16 @@ class MappingKernel {
 
   /// Number of entries of the ascending-sorted a[0 .. count) that are
   /// <= x — exactly `upper_bound(a, a + count, x) - a`, as a branch-free
-  /// counting scan over the lane's processor-contiguous free times. The
-  /// plain loop auto-vectorizes; PTGSCHED_SIMD adds an explicit AVX2
-  /// path (4 compares + popcount per step). Exact by sortedness: every
-  /// element <= x precedes every element > x, so the count IS the
-  /// partition point.
+  /// counting scan over the lane's processor-contiguous free times; the
+  /// plain loop auto-vectorizes. Exact by sortedness: every element <= x
+  /// precedes every element > x, so the count IS the partition point.
   static std::size_t count_leq(const double* a, std::size_t count,
                                double x) noexcept {
-#if defined(PTGSCHED_SIMD) && defined(__AVX2__)
-    const __m256d vx = _mm256_set1_pd(x);
-    std::size_t c = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= count; i += 4) {
-      const __m256d v = _mm256_loadu_pd(a + i);
-      const __m256d le = _mm256_cmp_pd(v, vx, _CMP_LE_OQ);
-      c += static_cast<std::size_t>(__builtin_popcount(
-          static_cast<unsigned>(_mm256_movemask_pd(le))));
-    }
-    for (; i < count; ++i) c += static_cast<std::size_t>(a[i] <= x);
-    return c;
-#else
     std::size_t c = 0;
     for (std::size_t i = 0; i < count; ++i) {
       c += static_cast<std::size_t>(a[i] <= x);
     }
     return c;
-#endif
   }
 
   static std::size_t sorted_rank(const double* a, std::size_t count,

@@ -107,19 +107,6 @@ Schedule map_mc_allocation(
   return out;
 }
 
-Schedule map_mc_allocation(const Ptg& g, const McAllocation& alloc,
-                           const ExecutionTimeModel& model,
-                           const MultiClusterPlatform& platform,
-                           const std::vector<double>& priority_times) {
-  std::vector<std::shared_ptr<const ProblemInstance>> clusters;
-  clusters.reserve(platform.num_clusters());
-  for (std::size_t k = 0; k < platform.num_clusters(); ++k) {
-    clusters.push_back(
-        ProblemInstance::borrow(g, model, platform.cluster(k)));
-  }
-  return map_mc_allocation(alloc, clusters, priority_times);
-}
-
 void validate_mc_schedule(const Schedule& sched, const Ptg& g,
                           const McAllocation& alloc,
                           const ExecutionTimeModel& model,

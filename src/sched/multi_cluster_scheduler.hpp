@@ -32,7 +32,7 @@ struct McAllocation {
 void validate_mc_allocation(const McAllocation& alloc, const Ptg& g,
                             const MultiClusterPlatform& platform);
 
-/// Primary mapping entry point: one ProblemInstance per cluster, all
+/// Mapping entry point: one ProblemInstance per cluster, all
 /// sharing the same graph (and typically the same model). Cluster k of the
 /// platform is lane k; its execution times come from clusters[k]'s
 /// precomputed table, so repeated mappings of the same platform amortize
@@ -47,15 +47,6 @@ void validate_mc_allocation(const McAllocation& alloc, const Ptg& g,
     const McAllocation& alloc,
     std::span<const std::shared_ptr<const ProblemInstance>> clusters,
     const std::vector<double>& priority_times);
-
-/// Legacy adapter: wraps the platform's clusters in borrowed
-/// ProblemInstances (building each time table afresh). Prefer the
-/// instance-based overload when mapping the same platform repeatedly.
-[[nodiscard]] Schedule map_mc_allocation(const Ptg& g,
-                                         const McAllocation& alloc,
-                                         const ExecutionTimeModel& model,
-                                         const MultiClusterPlatform& platform,
-                                         const std::vector<double>& priority_times);
 
 /// Validator: placements within a single cluster, durations consistent
 /// with that cluster's model times, precedence and capacity respected.

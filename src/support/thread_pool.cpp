@@ -43,65 +43,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body) {
-  if (n == 0) return;
-  if (workers_.empty() || n == 1) {
-    for (std::size_t i = 0; i < n; ++i) body(i);
-    return;
-  }
-
-  // Work-stealing via a shared atomic counter: workers (plus the calling
-  // thread) pull the next index until exhausted.
-  struct State {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr error;
-    std::mutex error_mu;
-    std::mutex done_mu;
-    std::condition_variable done_cv;
-  };
-  auto state = std::make_shared<State>();
-
-  auto run_chunk = [state, n, &body] {
-    while (true) {
-      const std::size_t i = state->next.fetch_add(1);
-      if (i >= n) break;
-      if (!state->failed.load(std::memory_order_relaxed)) {
-        try {
-          body(i);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(state->error_mu);
-          if (!state->failed.exchange(true)) {
-            state->error = std::current_exception();
-          }
-        }
-      }
-      const std::size_t finished = state->done.fetch_add(1) + 1;
-      if (finished == n) {
-        const std::lock_guard<std::mutex> lock(state->done_mu);
-        state->done_cv.notify_all();
-      }
-    }
-  };
-
-  const std::size_t helpers = std::min(workers_.size(), n - 1);
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    for (std::size_t i = 0; i < helpers; ++i) queue_.emplace_back(run_chunk);
-  }
-  cv_.notify_all();
-
-  run_chunk();  // The calling thread participates.
-
-  {
-    std::unique_lock<std::mutex> lock(state->done_mu);
-    state->done_cv.wait(lock, [&] { return state->done.load() == n; });
-  }
-  if (state->failed.load()) std::rethrow_exception(state->error);
-}
-
 void ThreadPool::parallel_for_blocked(
     std::size_t n, std::size_t grain,
     const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {

@@ -1,10 +1,11 @@
 #pragma once
-// Fixed-size worker pool with a parallel_for convenience wrapper.
+// Fixed-size worker pool with one dispatch: parallel_for_blocked.
 //
 // Fitness evaluation of the EA's offspring is embarrassingly parallel (each
 // individual is mapped independently); the pool lets EMTS evaluate a whole
-// generation concurrently. With num_threads <= 1 all work runs inline,
-// which keeps single-core runs deterministic and cheap.
+// generation concurrently. With no workers, or a single block, all work
+// runs inline on the caller, which keeps single-core runs deterministic
+// and cheap.
 
 #include <condition_variable>
 #include <cstddef>
@@ -40,20 +41,18 @@ class ThreadPool {
   /// IDs of the worker threads (stable for the pool's whole lifetime).
   [[nodiscard]] std::vector<std::thread::id> thread_ids() const;
 
-  /// Run body(i) for i in [0, n), blocking until all iterations finish.
-  /// Exceptions from body are rethrown on the calling thread (first one
-  /// wins). body must be safe to invoke concurrently.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body);
-
   /// Dynamic blocked range: run body(lo, hi, slot) over [0, n) split into
-  /// blocks of at most `grain` indices (grain < 1 is treated as 1). Blocks
-  /// are pulled from a shared atomic counter, so imbalanced iterations
-  /// (e.g. rejection-bailout fitness evaluations) rebalance automatically
-  /// while paying one atomic op per block instead of one queue entry per
-  /// index. `slot` is a stable participant id in [0, num_slots()): slot 0
-  /// is the calling thread and each helper gets a distinct slot, so the
-  /// body may use per-slot scratch without locking — no two concurrent
-  /// invocations ever share a slot. Blocks arrive in arbitrary order.
+  /// blocks of at most `grain` indices (grain < 1 is treated as 1),
+  /// blocking until every block finishes. Blocks are pulled from a shared
+  /// atomic counter, so imbalanced iterations (e.g. rejection-bailout
+  /// fitness evaluations) rebalance automatically while paying one atomic
+  /// op per block and one queue entry per helper. `slot` is a stable
+  /// participant id in [0, num_slots()): slot 0 is the calling thread and
+  /// each helper gets a distinct slot, so the body may use per-slot
+  /// scratch without locking — no two concurrent invocations ever share a
+  /// slot. Blocks arrive in arbitrary order. Exceptions from body are
+  /// rethrown on the calling thread (first one wins); later blocks are
+  /// skipped once one has thrown.
   void parallel_for_blocked(
       std::size_t n, std::size_t grain,
       const std::function<void(std::size_t, std::size_t, std::size_t)>& body);

@@ -1,9 +1,13 @@
 #pragma once
-// Shared fixtures: small hand-built PTGs with known properties and a
-// fixed-time execution model for exact schedule arithmetic in tests.
+// Shared fixtures: small hand-built PTGs with known properties, a
+// fixed-time execution model for exact schedule arithmetic in tests, and
+// make_instance(), which builds an owned ProblemInstance from values.
 
+#include <concepts>
 #include <map>
+#include <memory>
 
+#include "core/problem_instance.hpp"
 #include "model/execution_time.hpp"
 #include "platform/cluster.hpp"
 #include "ptg/graph.hpp"
@@ -99,5 +103,24 @@ class LinearSpeedupModel final : public ExecutionTimeModel {
 
 /// Unit-speed cluster with P processors.
 inline Cluster unit_cluster(int p) { return Cluster("unit", p, 1e-9); }
+
+/// Owned problem instance over a copy of `g` and `cluster`, sharing
+/// `model` (e.g. from make_model).
+inline std::shared_ptr<const ProblemInstance> make_instance(
+    Ptg g, std::shared_ptr<const ExecutionTimeModel> model, Cluster cluster) {
+  return ProblemInstance::create(std::make_shared<const Ptg>(std::move(g)),
+                                 std::move(model),
+                                 std::make_shared<const Cluster>(
+                                     std::move(cluster)));
+}
+
+/// Same, over a copy of a concrete model value.
+template <std::derived_from<ExecutionTimeModel> Model>
+std::shared_ptr<const ProblemInstance> make_instance(Ptg g,
+                                                     const Model& model,
+                                                     Cluster cluster) {
+  return make_instance(std::move(g), std::make_shared<const Model>(model),
+                       std::move(cluster));
+}
 
 }  // namespace ptgsched::testutil

@@ -1,7 +1,7 @@
 // Tests for the shared ProblemInstance core: time-table fidelity against
 // the wrapped model, structural precomputation (topological order,
-// precedence levels), sequential levels, and the create/borrow ownership
-// contract (DESIGN.md section 9).
+// precedence levels), sequential levels, and the ownership contract
+// (DESIGN.md section 9).
 
 #include "core/problem_instance.hpp"
 
@@ -16,18 +16,20 @@
 #include "model/execution_time.hpp"
 #include "ptg/algorithms.hpp"
 #include "ptg/analysis.hpp"
+#include "sched/list_scheduler.hpp"
 
 namespace ptgsched {
 namespace {
 
 using testutil::FixedTimeModel;
+using testutil::make_instance;
 using testutil::unit_cluster;
 
 TEST(ProblemInstance, TimeTableMatchesModel) {
   const Ptg g = irregular_corpus(40, 1, 7).front();
   const Cluster c = chti();
   const SyntheticModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
 
   ASSERT_EQ(pi->num_tasks(), g.num_tasks());
   ASSERT_EQ(pi->num_processors(), c.num_processors());
@@ -48,7 +50,7 @@ TEST(ProblemInstance, TimeRejectsOutOfRangeProcessorCount) {
   const Ptg g = testutil::chain3();
   const Cluster c = unit_cluster(4);
   const FixedTimeModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
   EXPECT_THROW((void)pi->time(0, 0), ModelError);
   EXPECT_THROW((void)pi->time(0, 5), ModelError);
   EXPECT_NO_THROW((void)pi->time(0, 4));
@@ -58,7 +60,7 @@ TEST(ProblemInstance, StructureMatchesFreeFunctions) {
   const Ptg g = irregular_corpus(35, 1, 11).front();
   const Cluster c = chti();
   const SyntheticModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
 
   const std::vector<TaskId> topo = topological_order(g);
   ASSERT_EQ(pi->topo_order().size(), topo.size());
@@ -90,7 +92,7 @@ TEST(ProblemInstance, SequentialLevelsUseSingleProcessorTimes) {
   const Ptg g = testutil::chain3();  // flops 1, 2, 3 in a chain
   const Cluster c = unit_cluster(4);
   const FixedTimeModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
   // bl(a) = 1+2+3, bl(b) = 2+3, bl(c) = 3; tl mirrors from the source.
   EXPECT_DOUBLE_EQ(pi->bottom_levels_seq()[0], 6.0);
   EXPECT_DOUBLE_EQ(pi->bottom_levels_seq()[1], 5.0);
@@ -105,7 +107,7 @@ TEST(ProblemInstance, CreateKeepsInputsAlive) {
   auto graph = std::make_shared<const Ptg>(testutil::diamond());
   auto model = std::make_shared<const FixedTimeModel>();
   auto cluster = std::make_shared<const Cluster>(unit_cluster(4));
-  const auto pi = ProblemInstance::create(graph, model, cluster);
+  auto pi = ProblemInstance::create(graph, model, cluster);
 
   // Drop every external reference: the instance co-owns its inputs.
   graph.reset();
@@ -114,6 +116,24 @@ TEST(ProblemInstance, CreateKeepsInputsAlive) {
   EXPECT_EQ(pi->num_tasks(), 4u);
   EXPECT_DOUBLE_EQ(pi->time(1, 1), 4.0);  // diamond task l, flops 4
   EXPECT_EQ(pi->cluster().num_processors(), 4);
+
+  // Residuals taken now share the base's model. With the source s done,
+  // l (4) and r (2) run side by side on two processors, then t (1).
+  const std::vector<bool> source_done = {true, false, false, false};
+  const auto two = std::make_shared<const Cluster>(unit_cluster(2));
+  const ResidualProblem early = pi->residual(source_done, two);
+  const ResidualProblem late = pi->residual(source_done, two);
+  ASSERT_NE(early.instance, nullptr);
+  ASSERT_NE(late.instance, nullptr);
+  const Allocation ones(3, 1);
+  EXPECT_DOUBLE_EQ(ListScheduler(early.instance).makespan(ones), 5.0);
+
+  // Dropping the base leaves both residuals working: `early` on tables it
+  // already built, `late` builds its time table from the model only now.
+  pi.reset();
+  EXPECT_DOUBLE_EQ(ListScheduler(early.instance).makespan(ones), 5.0);
+  EXPECT_DOUBLE_EQ(late.instance->time(late.from_base[1], 1), 4.0);
+  EXPECT_DOUBLE_EQ(ListScheduler(late.instance).makespan(ones), 5.0);
 }
 
 TEST(ProblemInstance, RejectsNullInputsAndInvalidGraphs) {
@@ -135,7 +155,7 @@ TEST(ProblemInstance, ProcTimeTableScalesSequentialTimesBySpeed) {
   const Ptg g = testutil::chain3();
   const Cluster c("het", 4, 1.0, {1.0, 0.5, 2.0, 0.25});
   const testutil::FixedTimeModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
   ASSERT_TRUE(pi->heterogeneous());
   const auto table = pi->proc_time_table();
   ASSERT_EQ(table.size(), g.num_tasks() * 4);
@@ -161,7 +181,7 @@ TEST(ProblemInstance, AverageSpeedRanksFollowTheHeftRecurrence) {
   const Ptg g = testutil::chain3();
   const Cluster c("het", 2, 1.0, {1.0, 0.5}, {0.0, 0.5, 0.5, 0.0});
   const testutil::FixedTimeModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
   const double cbar = c.mean_comm_cost();
   EXPECT_DOUBLE_EQ(cbar, 0.5);
   const auto bl = pi->bottom_levels_avg();
@@ -185,7 +205,7 @@ TEST(ProblemInstance, WarmIsIdempotentAndSharedAcrossThreads) {
   const Ptg g = irregular_corpus(30, 1, 13).front();
   const Cluster c = chti();
   const SyntheticModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
   pi->warm();
   pi->warm();  // second call must be a no-op
 

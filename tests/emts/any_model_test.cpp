@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../common/test_graphs.hpp"
 #include "daggen/corpus.hpp"
 #include "emts/emts.hpp"
 #include "model/overhead.hpp"
@@ -17,6 +18,8 @@
 
 namespace ptgsched {
 namespace {
+
+using testutil::make_instance;
 
 // Random penalty table over Amdahl: multipliers in [1, 3], independently
 // per processor count — maximally irregular but still >= the ideal time.
@@ -40,7 +43,7 @@ TEST_P(AnyModelProperty, EmtsInvariantsHoldUnderRandomSpikyModels) {
   for (const auto& g : graphs) {
     EmtsConfig cfg = emts5_config();
     cfg.seed = model_seed + 1;
-    const EmtsResult r = Emts(cfg).schedule(g, *model, cluster);
+    const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, cluster));
 
     // 1. The schedule is legal under this exact model.
     EXPECT_NO_THROW(
@@ -70,7 +73,7 @@ TEST(AnyModel, EmtsWorksWithCommunicationOverheadModel) {
   for (const auto& g : graphs) {
     EmtsConfig cfg = emts5_config();
     cfg.seed = 3;
-    const EmtsResult r = Emts(cfg).schedule(g, model, cluster);
+    const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, cluster));
     EXPECT_NO_THROW(
         validate_schedule(r.schedule, g, r.best_allocation, model, cluster));
     for (const auto& s : r.seeds) EXPECT_LE(r.makespan, s.makespan + 1e-9);
@@ -84,7 +87,7 @@ TEST(AnyModel, EmtsWorksWithDowneyModel) {
   const Ptg g = make_fft_ptg(8, rng);
   EmtsConfig cfg = emts5_config();
   cfg.seed = 4;
-  const EmtsResult r = Emts(cfg).schedule(g, model, cluster);
+  const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, cluster));
   EXPECT_NO_THROW(
       validate_schedule(r.schedule, g, r.best_allocation, model, cluster));
 }
@@ -97,9 +100,10 @@ TEST(AnyModel, RejectionStaysExactUnderSpikyModels) {
   for (const auto& g : graphs) {
     EmtsConfig cfg = emts5_config();
     cfg.seed = 5;
-    const EmtsResult plain = Emts(cfg).schedule(g, *model, cluster);
+    const auto pi = make_instance(g, model, cluster);
+    const EmtsResult plain = Emts(cfg).schedule(pi);
     cfg.use_rejection = true;
-    const EmtsResult rejecting = Emts(cfg).schedule(g, *model, cluster);
+    const EmtsResult rejecting = Emts(cfg).schedule(pi);
     EXPECT_DOUBLE_EQ(plain.makespan, rejecting.makespan) << g.name();
     EXPECT_EQ(plain.best_allocation, rejecting.best_allocation);
   }

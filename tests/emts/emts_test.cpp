@@ -12,6 +12,8 @@
 namespace ptgsched {
 namespace {
 
+using testutil::make_instance;
+
 TEST(EmtsConfig, PaperPresets) {
   const EmtsConfig e5 = emts5_config();
   EXPECT_EQ(e5.mu, 5u);
@@ -49,7 +51,7 @@ TEST(Emts, SeedsContainConfiguredHeuristics) {
   const Cluster c = platform_by_name("chti");
   const AmdahlModel model;
   const Emts emts(emts5_config());
-  const EmtsResult r = emts.schedule(g, model, c);
+  const EmtsResult r = emts.schedule(make_instance(g, model, c));
   ASSERT_EQ(r.seeds.size(), 3u);  // mcpa, hcpa, delta
   EXPECT_EQ(r.seeds[0].heuristic, "mcpa");
   EXPECT_EQ(r.seeds[1].heuristic, "hcpa");
@@ -66,16 +68,16 @@ TEST(Emts, NeverWorseThanBestSeed) {
   // headline invariant and must hold on every instance and both models.
   const Cluster chti_c = platform_by_name("chti");
   const Cluster grelon_c = platform_by_name("grelon");
-  const AmdahlModel m1;
-  const SyntheticModel m2;
+  const std::vector<std::shared_ptr<const ExecutionTimeModel>> models = {
+      std::make_shared<const AmdahlModel>(),
+      std::make_shared<const SyntheticModel>()};
   EmtsConfig cfg = emts5_config();
   std::uint64_t seed = 100;
   for (const auto& g : irregular_corpus(50, 4, 50)) {
     for (const Cluster* c : {&chti_c, &grelon_c}) {
-      for (const ExecutionTimeModel* model :
-           std::initializer_list<const ExecutionTimeModel*>{&m1, &m2}) {
+      for (const auto& model : models) {
         cfg.seed = ++seed;
-        const EmtsResult r = Emts(cfg).schedule(g, *model, *c);
+        const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, *c));
         double best_seed = r.seeds.front().makespan;
         for (const auto& s : r.seeds) {
           best_seed = std::min(best_seed, s.makespan);
@@ -93,7 +95,7 @@ TEST(Emts, ProducesValidSchedules) {
   EmtsConfig cfg = emts5_config();
   cfg.seed = 3;
   for (const auto& g : layered_corpus(100, 3, 51)) {
-    const EmtsResult r = Emts(cfg).schedule(g, model, c);
+    const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, c));
     EXPECT_NO_THROW(
         validate_schedule(r.schedule, g, r.best_allocation, model, c));
     EXPECT_DOUBLE_EQ(r.schedule.makespan(), r.makespan);
@@ -108,8 +110,9 @@ TEST(Emts, DeterministicGivenSeed) {
   const SyntheticModel model;
   EmtsConfig cfg = emts5_config();
   cfg.seed = 1234;
-  const EmtsResult a = Emts(cfg).schedule(g, model, c);
-  const EmtsResult b = Emts(cfg).schedule(g, model, c);
+  const auto pi = make_instance(g, model, c);
+  const EmtsResult a = Emts(cfg).schedule(pi);
+  const EmtsResult b = Emts(cfg).schedule(pi);
   EXPECT_EQ(a.best_allocation, b.best_allocation);
   EXPECT_DOUBLE_EQ(a.makespan, b.makespan);
 }
@@ -121,9 +124,10 @@ TEST(Emts, ThreadedRunMatchesSerial) {
   const AmdahlModel model;
   EmtsConfig cfg = emts5_config();
   cfg.seed = 7;
-  const EmtsResult serial = Emts(cfg).schedule(g, model, c);
+  const auto pi = make_instance(g, model, c);
+  const EmtsResult serial = Emts(cfg).schedule(pi);
   cfg.threads = 3;
-  const EmtsResult threaded = Emts(cfg).schedule(g, model, c);
+  const EmtsResult threaded = Emts(cfg).schedule(pi);
   EXPECT_EQ(serial.best_allocation, threaded.best_allocation);
   EXPECT_DOUBLE_EQ(serial.makespan, threaded.makespan);
 }
@@ -143,8 +147,9 @@ TEST(Emts, Emts10AtLeastAsGoodAsEmts5) {
     c5.seed = ++seed;
     EmtsConfig c10 = emts10_config();
     c10.seed = seed;
-    sum5 += Emts(c5).schedule(g, model, c).makespan;
-    sum10 += Emts(c10).schedule(g, model, c).makespan;
+    const auto pi = make_instance(g, model, c);
+    sum5 += Emts(c5).schedule(pi).makespan;
+    sum10 += Emts(c10).schedule(pi).makespan;
   }
   EXPECT_LE(sum10, sum5 * 1.001);
 }
@@ -161,7 +166,7 @@ TEST(Emts, ImprovesUnderNonMonotonicModelOnLargeCluster) {
   for (const auto& g : irregular_corpus(100, 6, 53)) {
     EmtsConfig cfg = emts5_config();
     cfg.seed = ++seed;
-    const EmtsResult r = Emts(cfg).schedule(g, model, c);
+    const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, c));
     double best_seed = r.seeds.front().makespan;
     for (const auto& s : r.seeds) best_seed = std::min(best_seed, s.makespan);
     ratio_sum += best_seed / r.makespan;
@@ -180,7 +185,7 @@ TEST(Emts, RandomSeedAblationStillValid) {
   cfg.use_delta_seed = false;
   cfg.use_random_seed = true;
   cfg.seed = 8;
-  const EmtsResult r = Emts(cfg).schedule(g, model, c);
+  const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, c));
   ASSERT_EQ(r.seeds.size(), 1u);
   EXPECT_EQ(r.seeds[0].heuristic, "random");
   EXPECT_NO_THROW(
@@ -196,7 +201,7 @@ TEST(Emts, TimeBudgetIsHonored) {
   cfg.generations = 100000;
   cfg.time_budget_seconds = 0.1;
   cfg.seed = 9;
-  const EmtsResult r = Emts(cfg).schedule(g, model, c);
+  const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, c));
   EXPECT_TRUE(r.es.stopped_by_time_budget);
   EXPECT_LT(r.total_seconds, 10.0);
   // Stopping on the budget must still hand back a complete, valid
@@ -275,7 +280,7 @@ TEST(Emts, TrackedMutatorDrawsIdenticalChildren) {
   const Ptg g = irregular_corpus(30, 1, 5151).front();
   const Cluster c = chti();
   const SyntheticModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
   EsConfig es_cfg;
   es_cfg.seed = 5152;
   const auto run = [&](bool use_tracked) {

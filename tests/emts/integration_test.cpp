@@ -5,6 +5,7 @@
 
 #include <filesystem>
 
+#include "../common/test_graphs.hpp"
 #include "daggen/corpus.hpp"
 #include "emts/emts.hpp"
 #include "heuristics/allocation_heuristic.hpp"
@@ -16,6 +17,8 @@
 namespace ptgsched {
 namespace {
 
+using testutil::make_instance;
+
 TEST(Integration, FullPipelineOnEveryWorkloadClass) {
   const Cluster c = platform_by_name("chti");
   const auto model = make_model("model2");
@@ -24,7 +27,7 @@ TEST(Integration, FullPipelineOnEveryWorkloadClass) {
   for (const std::string cls : {"fft", "strassen", "layered", "irregular"}) {
     const auto graphs = corpus_by_name(cls, 20, 2, 60);
     for (const auto& g : graphs) {
-      const EmtsResult r = Emts(cfg).schedule(g, *model, c);
+      const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, c));
       EXPECT_NO_THROW(
           validate_schedule(r.schedule, g, r.best_allocation, *model, c))
           << cls << " " << g.name();
@@ -46,8 +49,9 @@ TEST(Integration, SerializedGraphSchedulesIdentically) {
     const Ptg loaded = load_ptg(path);
     EmtsConfig cfg = emts5_config();
     cfg.seed = 3;
-    const double m1 = Emts(cfg).schedule(g, *model, c).makespan;
-    const double m2 = Emts(cfg).schedule(loaded, *model, c).makespan;
+    const double m1 = Emts(cfg).schedule(make_instance(g, model, c)).makespan;
+    const double m2 =
+        Emts(cfg).schedule(make_instance(loaded, model, c)).makespan;
     EXPECT_DOUBLE_EQ(m1, m2);
   }
   std::filesystem::remove(path);
@@ -59,11 +63,12 @@ TEST(Integration, AllHeuristicsComposableWithBothMappings) {
   const auto model = make_model("model2");
   for (const auto& g : graphs) {
     for (const char* h : {"one", "cpa", "hcpa", "mcpa", "mcpa2", "delta"}) {
-      const Allocation alloc = make_heuristic(h)->allocate(g, *model, c);
+      const auto pi = make_instance(g, model, c);
+      const Allocation alloc = make_heuristic(h)->allocate(*pi);
       for (const auto policy : {ProcessorSelection::EarliestAvailable,
                                 ProcessorSelection::BestFit}) {
         const Schedule s =
-            map_allocation(g, alloc, *model, c, {policy});
+            ListScheduler(pi, {policy}).build_schedule(alloc);
         EXPECT_NO_THROW(validate_schedule(s, g, alloc, *model, c))
             << h << " " << g.name();
       }
@@ -78,7 +83,7 @@ TEST(Integration, GanttOutputsForEmtsSchedule) {
   const auto model = make_model("model2");
   EmtsConfig cfg = emts5_config();
   cfg.seed = 5;
-  const EmtsResult r = Emts(cfg).schedule(g, *model, c);
+  const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, c));
   const std::string ascii = gantt_ascii(r.schedule);
   EXPECT_NE(ascii.find("p000"), std::string::npos);
   const std::string svg = gantt_svg(r.schedule, g);
@@ -94,7 +99,7 @@ TEST(Integration, ConvergenceHistoryIsMonotoneUnderPlusSelection) {
   EmtsConfig cfg = emts10_config();
   cfg.seed = 17;
   for (const auto& g : graphs) {
-    const EmtsResult r = Emts(cfg).schedule(g, *model, c);
+    const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, c));
     double prev = std::numeric_limits<double>::infinity();
     for (const auto& gs : r.es.history) {
       EXPECT_LE(gs.best, prev + 1e-12) << g.name();
@@ -114,8 +119,10 @@ TEST(Integration, LargerClusterNeverSlowerForEmts) {
   const auto model = make_model("model1");
   EmtsConfig cfg = emts5_config();
   cfg.seed = 21;
-  const double m_small = Emts(cfg).schedule(g, *model, small).makespan;
-  const double m_large = Emts(cfg).schedule(g, *model, large).makespan;
+  const double m_small =
+      Emts(cfg).schedule(make_instance(g, model, small)).makespan;
+  const double m_large =
+      Emts(cfg).schedule(make_instance(g, model, large)).makespan;
   EXPECT_LE(m_large, m_small * 1.001);
 }
 
@@ -127,7 +134,7 @@ TEST(Integration, SequentialLowerBoundRespected) {
   const auto model = make_model("model1");
   EmtsConfig cfg = emts5_config();
   for (const auto& g : graphs) {
-    const EmtsResult r = Emts(cfg).schedule(g, *model, c);
+    const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, c));
     // Work lower bound with perfect speedup (alpha >= 0 only helps).
     const double work_bound =
         g.total_flops() / (c.flops_per_second() *

@@ -11,13 +11,14 @@ namespace ptgsched {
 namespace {
 
 using testutil::FixedTimeModel;
+using testutil::make_instance;
 using testutil::unit_cluster;
 
 TEST(BoundedMapping, InfiniteBoundMatchesExact) {
   const Ptg g = testutil::diamond();
   const Cluster c = unit_cluster(4);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   const Allocation alloc{1, 1, 1, 1};
   const double exact = sched.makespan(alloc);
   EXPECT_DOUBLE_EQ(
@@ -31,7 +32,7 @@ TEST(BoundedMapping, GenerousBoundMatchesExact) {
   const Ptg g = testutil::chain3();
   const Cluster c = unit_cluster(2);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   const Allocation alloc{1, 1, 1};
   EXPECT_DOUBLE_EQ(sched.makespan_bounded(alloc, 100.0), 6.0);
   // A bound exactly at the makespan is not exceeded -> no rejection.
@@ -43,7 +44,7 @@ TEST(BoundedMapping, TightBoundRejects) {
   const Ptg g = testutil::chain3();
   const Cluster c = unit_cluster(2);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   const Allocation alloc{1, 1, 1};
   EXPECT_TRUE(std::isinf(sched.makespan_bounded(alloc, 5.9)));
   EXPECT_EQ(sched.rejected_count(), 1u);
@@ -60,7 +61,7 @@ TEST(BoundedMapping, RejectionIsSound) {
   const Cluster c = chti();
   const SyntheticModel model;
   for (const auto& g : graphs) {
-    ListScheduler sched(g, c, model);
+    ListScheduler sched(make_instance(g, model, c));
     Rng rng(g.num_tasks());
     for (int trial = 0; trial < 10; ++trial) {
       Allocation alloc(g.num_tasks());
@@ -89,9 +90,10 @@ TEST(EmtsRejection, BestResultUnchanged) {
   for (const auto& g : graphs) {
     EmtsConfig cfg = emts5_config();
     cfg.seed = 5;
-    const EmtsResult plain = Emts(cfg).schedule(g, model, c);
+    const auto pi = make_instance(g, model, c);
+    const EmtsResult plain = Emts(cfg).schedule(pi);
     cfg.use_rejection = true;
-    const EmtsResult rejecting = Emts(cfg).schedule(g, model, c);
+    const EmtsResult rejecting = Emts(cfg).schedule(pi);
     EXPECT_DOUBLE_EQ(plain.makespan, rejecting.makespan) << g.name();
     EXPECT_EQ(plain.best_allocation, rejecting.best_allocation) << g.name();
   }
@@ -105,7 +107,7 @@ TEST(EmtsRejection, ActuallyRejectsSomething) {
   EmtsConfig cfg = emts10_config();
   cfg.seed = 6;
   cfg.use_rejection = true;
-  const EmtsResult r = Emts(cfg).schedule(g, model, c);
+  const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, c));
   EXPECT_GT(r.rejected_evaluations, 0u);
   EXPECT_LT(r.rejected_evaluations, r.es.evaluations);
 }
@@ -117,7 +119,7 @@ TEST(EmtsRejection, DisabledMeansZeroRejections) {
   const AmdahlModel model;
   EmtsConfig cfg = emts5_config();
   cfg.seed = 7;
-  const EmtsResult r = Emts(cfg).schedule(g, model, c);
+  const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, c));
   EXPECT_EQ(r.rejected_evaluations, 0u);
 }
 

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include "../common/test_graphs.hpp"
 #include "daggen/corpus.hpp"
 #include "emts/emts.hpp"
 
 namespace ptgsched {
 namespace {
+
+using testutil::make_instance;
 
 void expect_identical(const EmtsResult& a, const EmtsResult& b,
                       const std::string& label) {
@@ -46,9 +49,10 @@ TEST(EvalDeterminism, ThreadCountNeverChangesTheResult) {
       cfg.use_rejection = rejection;
 
       cfg.threads = 1;
-      const EmtsResult serial = Emts(cfg).schedule(g, model, c);
+      const auto pi = make_instance(g, model, c);
+      const EmtsResult serial = Emts(cfg).schedule(pi);
       cfg.threads = 8;
-      const EmtsResult parallel = Emts(cfg).schedule(g, model, c);
+      const EmtsResult parallel = Emts(cfg).schedule(pi);
 
       const std::string label = std::string("memoize=") +
                                 (memoize ? "on" : "off") + " rejection=" +
@@ -71,9 +75,10 @@ TEST(EvalDeterminism, MemoCacheNeverChangesTheTrajectory) {
     cfg.seed = 33;
     cfg.use_rejection = rejection;
     cfg.memoize = false;
-    const EmtsResult plain = Emts(cfg).schedule(g, model, c);
+    const auto pi = make_instance(g, model, c);
+    const EmtsResult plain = Emts(cfg).schedule(pi);
     cfg.memoize = true;
-    const EmtsResult memo = Emts(cfg).schedule(g, model, c);
+    const EmtsResult memo = Emts(cfg).schedule(pi);
     expect_identical(plain, memo,
                      std::string("rejection=") + (rejection ? "on" : "off"));
     // The optimizer revisits parents and duplicate mutants, so the cache
@@ -91,8 +96,9 @@ TEST(EvalDeterminism, RerunIsBitIdentical) {
   cfg.seed = 55;
   cfg.threads = 4;
   cfg.use_rejection = true;
-  const EmtsResult a = Emts(cfg).schedule(g, model, c);
-  const EmtsResult b = Emts(cfg).schedule(g, model, c);
+  const auto pi = make_instance(g, model, c);
+  const EmtsResult a = Emts(cfg).schedule(pi);
+  const EmtsResult b = Emts(cfg).schedule(pi);
   expect_identical(a, b, "rerun");
   EXPECT_EQ(a.eval_stats.rejections, b.eval_stats.rejections);
 }

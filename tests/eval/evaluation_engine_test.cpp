@@ -12,13 +12,18 @@
 #include <string>
 #include <utility>
 
+#include "../common/test_graphs.hpp"
 #include "daggen/corpus.hpp"
+#include "emts/emts.hpp"
+#include "eval/engine_pool.hpp"
 #include "model/execution_time.hpp"
 #include "platform/cluster.hpp"
 #include "support/rng.hpp"
 
 namespace ptgsched {
 namespace {
+
+using testutil::make_instance;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -44,8 +49,9 @@ TEST(EvaluationEngine, MemoizedMakespanEqualsFreshScheduler) {
   for (const auto& g : graphs) {
     EvalEngineConfig cfg;
     cfg.memoize = true;
-    EvaluationEngine engine(g, model, c, {}, cfg);
-    ListScheduler fresh(g, c, model);
+    const auto pi = make_instance(g, model, c);
+    EvaluationEngine engine(pi, {}, cfg);
+    ListScheduler fresh(pi);
     Rng rng(g.num_tasks());
     auto batch = random_batch(g, c, 40, rng);
     engine.evaluate_batch(batch, 0);
@@ -71,7 +77,8 @@ TEST(EvaluationEngine, RejectedResultsAreNeverCached) {
   EvalEngineConfig cfg;
   cfg.memoize = true;
   cfg.use_rejection = true;
-  EvaluationEngine engine(g, model, c, {}, cfg);
+  const auto pi = make_instance(g, model, c);
+  EvaluationEngine engine(pi, {}, cfg);
 
   Rng rng(3);
   auto batch = random_batch(g, c, 20, rng);
@@ -87,7 +94,7 @@ TEST(EvaluationEngine, RejectedResultsAreNeverCached) {
   // allocations: had the +inf results been cached, these would be inf too.
   engine.set_incumbent(kInf);
   engine.evaluate_batch(batch, 0);
-  ListScheduler fresh(g, c, model);
+  ListScheduler fresh(pi);
   for (const auto& ind : batch) {
     EXPECT_TRUE(std::isfinite(ind.fitness));
     EXPECT_DOUBLE_EQ(ind.fitness, fresh.makespan(ind.genes));
@@ -106,7 +113,7 @@ TEST(EvaluationEngine, CacheHitBeatsTightenedBound) {
   EvalEngineConfig cfg;
   cfg.memoize = true;
   cfg.use_rejection = true;
-  EvaluationEngine engine(g, model, c, {}, cfg);
+  EvaluationEngine engine(make_instance(g, model, c), {}, cfg);
 
   Rng rng(4);
   const Allocation alloc = random_allocation(g, c, rng);
@@ -127,14 +134,15 @@ TEST(EvaluationEngine, OnSelectionPublishesWorstSurvivorAsBound) {
   const SyntheticModel model;
   EvalEngineConfig cfg;
   cfg.use_rejection = true;
-  EvaluationEngine engine(g, model, c, {}, cfg);
+  const auto pi = make_instance(g, model, c);
+  EvaluationEngine engine(pi, {}, cfg);
   EXPECT_TRUE(std::isinf(engine.incumbent()));
   engine.on_selection(0, 10.0, 42.5);
   EXPECT_DOUBLE_EQ(engine.incumbent(), 42.5);
 
   // Without rejection the bound stays infinite (evaluations stay exact).
   EvalEngineConfig plain;
-  EvaluationEngine engine2(g, model, c, {}, plain);
+  EvaluationEngine engine2(pi, {}, plain);
   engine2.on_selection(0, 10.0, 42.5);
   EXPECT_TRUE(std::isinf(engine2.incumbent()));
 }
@@ -145,13 +153,14 @@ TEST(EvaluationEngine, EvaluateOneIgnoresIncumbent) {
   const SyntheticModel model;
   EvalEngineConfig cfg;
   cfg.use_rejection = true;
-  EvaluationEngine engine(g, model, c, {}, cfg);
+  const auto pi = make_instance(g, model, c);
+  EvaluationEngine engine(pi, {}, cfg);
   engine.set_incumbent(0.0);
   Rng rng(5);
   const Allocation alloc = random_allocation(g, c, rng);
   const double m = engine.evaluate_one(alloc);
   EXPECT_TRUE(std::isfinite(m));
-  ListScheduler fresh(g, c, model);
+  ListScheduler fresh(pi);
   EXPECT_DOUBLE_EQ(m, fresh.makespan(alloc));
 }
 
@@ -165,13 +174,14 @@ TEST(EvaluationEngine, ParallelMatchesSerialValues) {
   for (const bool memoize : {false, true}) {
     EvalEngineConfig serial_cfg;
     serial_cfg.memoize = memoize;
-    EvaluationEngine serial(g, model, c, {}, serial_cfg);
+    const auto pi = make_instance(g, model, c);
+    EvaluationEngine serial(pi, {}, serial_cfg);
     auto a = batch;
     serial.evaluate_batch(a, 0);
 
     EvalEngineConfig par_cfg = serial_cfg;
     par_cfg.threads = 8;
-    EvaluationEngine parallel(g, model, c, {}, par_cfg);
+    EvaluationEngine parallel(pi, {}, par_cfg);
     EXPECT_EQ(parallel.num_slots(), 8u);
     EXPECT_EQ(parallel.pool().num_threads(), 7u);
     auto b = batch;
@@ -189,7 +199,7 @@ TEST(EvaluationEngine, StatsAreConsistent) {
   const SyntheticModel model;
   EvalEngineConfig cfg;
   cfg.memoize = true;
-  EvaluationEngine engine(g, model, c, {}, cfg);
+  EvaluationEngine engine(make_instance(g, model, c), {}, cfg);
 
   Rng rng(8);
   auto batch = random_batch(g, c, 25, rng);
@@ -230,7 +240,7 @@ TEST(EvaluationEngine, FitnessFnMatchesEvaluateOneAndCountsWork) {
   const Ptg g = irregular_corpus(25, 1, 63).front();
   const Cluster c = chti();
   const SyntheticModel model;
-  EvaluationEngine engine(g, model, c);
+  EvaluationEngine engine(make_instance(g, model, c));
   const FitnessFn fitness = engine.fitness_fn();
 
   Rng rng(14);
@@ -250,7 +260,7 @@ TEST(EvaluationEngine, RejectionCountIsAnExactDeltaAfterReset) {
   const SyntheticModel model;
   EvalEngineConfig cfg;
   cfg.use_rejection = true;
-  EvaluationEngine engine(g, model, c, {}, cfg);
+  EvaluationEngine engine(make_instance(g, model, c), {}, cfg);
 
   Rng rng(12);
   auto batch = random_batch(g, c, 10, rng);
@@ -287,8 +297,9 @@ TEST(EvaluationEngine, ColdCacheSamplerSkipsProbesAndStaysExact) {
   const SyntheticModel model;
   EvalEngineConfig cfg;
   cfg.memoize = true;
-  EvaluationEngine engine(g, model, c, {}, cfg);
-  ListScheduler fresh(g, c, model);
+  const auto pi = make_instance(g, model, c);
+  EvaluationEngine engine(pi, {}, cfg);
+  ListScheduler fresh(pi);
 
   Rng rng(21);
   auto batch = random_batch(g, c, 300, rng);
@@ -315,7 +326,7 @@ TEST(EvaluationEngine, ColdCacheSamplerSkipsProbesAndStaysExact) {
 
   // A warm access pattern (few distinct genomes, many repeats) must keep
   // probing normally: no skips before the window can even fill.
-  EvaluationEngine warm(g, model, c, {}, cfg);
+  EvaluationEngine warm(pi, {}, cfg);
   auto dup = random_batch(g, c, 4, rng);
   for (int round = 0; round < 8; ++round) {
     auto w = dup;
@@ -329,7 +340,7 @@ TEST(EvaluationEngine, BuildScheduleMatchesFitness) {
   const Ptg g = irregular_corpus(25, 1, 61).front();
   const Cluster c = chti();
   const SyntheticModel model;
-  EvaluationEngine engine(g, model, c);
+  EvaluationEngine engine(make_instance(g, model, c));
   Rng rng(9);
   const Allocation alloc = random_allocation(g, c, rng);
   const double m = engine.evaluate_one(alloc);
@@ -337,16 +348,15 @@ TEST(EvaluationEngine, BuildScheduleMatchesFitness) {
 }
 
 TEST(EvaluationEngine, RetiredKernelModesThrow) {
-  const Ptg g = irregular_corpus(20, 1, 73).front();
-  const Cluster c = chti();
-  const SyntheticModel model;
+  const auto pi = make_instance(irregular_corpus(20, 1, 73).front(),
+                                SyntheticModel(), chti());
   for (const auto& [mode, name] :
        {std::pair{KernelMode::Incremental, "Incremental"},
         std::pair{KernelMode::Batched, "Batched"}}) {
     EvalEngineConfig cfg;
     cfg.kernel = mode;
     try {
-      EvaluationEngine engine(g, model, c, {}, cfg);
+      EvaluationEngine engine(pi, {}, cfg);
       ADD_FAILURE() << name << " constructed";
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
@@ -354,12 +364,57 @@ TEST(EvaluationEngine, RetiredKernelModesThrow) {
     }
   }
   // Unset and Full both construct, and both run the full pass.
-  EvaluationEngine unset(g, model, c);
+  EvaluationEngine unset(pi);
   EXPECT_EQ(unset.kernel_mode(), KernelMode::Full);
   EvalEngineConfig cfg;
   cfg.kernel = KernelMode::Full;
-  EvaluationEngine full(g, model, c, {}, cfg);
+  EvaluationEngine full(pi, {}, cfg);
   EXPECT_EQ(full.kernel_mode(), KernelMode::Full);
+}
+
+TEST(EvaluationEngine, EmtsAndPoolEngineConfigsCarryTheirFields) {
+  // Emts::engine_config() is what schedule(instance) builds its engine
+  // with; EnginePool::engine_config() is what acquire() builds with. Every
+  // field is checked at two settings, so a constant cannot pass.
+  const CancellationToken token;
+  EmtsConfig emts_cfg;
+  emts_cfg.threads = 3;
+  emts_cfg.use_rejection = true;
+  emts_cfg.memoize = false;
+  emts_cfg.kernel = KernelMode::Full;
+  emts_cfg.cancel = &token;
+  const EvalEngineConfig a = Emts(emts_cfg).engine_config();
+  EXPECT_EQ(a.threads, 3u);
+  EXPECT_TRUE(a.use_rejection);
+  EXPECT_FALSE(a.memoize);
+  EXPECT_EQ(a.kernel, KernelMode::Full);
+  EXPECT_EQ(a.cancel, &token);
+  emts_cfg.threads = 0;
+  emts_cfg.use_rejection = false;
+  emts_cfg.memoize = true;
+  emts_cfg.kernel.reset();
+  emts_cfg.cancel = nullptr;
+  const EvalEngineConfig b = Emts(emts_cfg).engine_config();
+  EXPECT_EQ(b.threads, 0u);
+  EXPECT_FALSE(b.use_rejection);
+  EXPECT_TRUE(b.memoize);
+  EXPECT_FALSE(b.kernel.has_value());
+  EXPECT_EQ(b.cancel, nullptr);
+
+  const auto pi = make_instance(irregular_corpus(20, 1, 79).front(),
+                                SyntheticModel(), chti());
+  for (const auto& [threads, memoize] :
+       {std::pair{std::size_t{2}, false}, std::pair{std::size_t{0}, true}}) {
+    EnginePool::Config pool_cfg;
+    pool_cfg.threads_per_engine = threads;
+    pool_cfg.memoize = memoize;
+    EnginePool pool(pool_cfg);
+    EXPECT_EQ(pool.engine_config().threads, threads);
+    EXPECT_EQ(pool.engine_config().memoize, memoize);
+    EnginePool::Lease lease = pool.acquire(1, [&] { return pi; });
+    EXPECT_EQ(lease.engine().config().threads, threads);
+    EXPECT_EQ(lease.engine().config().memoize, memoize);
+  }
 }
 
 }  // namespace

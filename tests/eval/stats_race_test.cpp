@@ -11,6 +11,7 @@
 #include <atomic>
 #include <thread>
 
+#include "../common/test_graphs.hpp"
 #include "daggen/corpus.hpp"
 #include "eval/evaluation_engine.hpp"
 #include "model/execution_time.hpp"
@@ -19,6 +20,8 @@
 
 namespace ptgsched {
 namespace {
+
+using testutil::make_instance;
 
 std::vector<Individual> random_batch(const Ptg& g, const Cluster& c,
                                      std::size_t n, Rng& rng) {
@@ -39,7 +42,7 @@ TEST(EvaluationEngineRace, ResetStatsDuringConcurrentBatches) {
   EvalEngineConfig cfg;
   cfg.threads = 4;
   cfg.memoize = true;
-  EvaluationEngine engine(g, model, c, {}, cfg);
+  EvaluationEngine engine(make_instance(g, model, c), {}, cfg);
 
   std::atomic<bool> stop{false};
   std::thread reader([&] {
@@ -88,13 +91,13 @@ TEST(EvaluationEngineRace, ResultsUnaffectedByConcurrentResets) {
   auto batch = random_batch(g, c, 48, rng);
   auto expected = batch;
   {
-    EvaluationEngine serial(g, model, c, {}, {});
+    EvaluationEngine serial(make_instance(g, model, c), {}, {});
     serial.evaluate_batch(expected, 0);
   }
 
   EvalEngineConfig cfg;
   cfg.threads = 4;
-  EvaluationEngine engine(g, model, c, {}, cfg);
+  EvaluationEngine engine(make_instance(g, model, c), {}, cfg);
   std::atomic<bool> stop{false};
   std::thread resetter([&] {
     while (!stop.load(std::memory_order_relaxed)) engine.reset_stats();

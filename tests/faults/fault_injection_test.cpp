@@ -9,6 +9,7 @@
 #include <map>
 #include <optional>
 
+#include "../common/test_graphs.hpp"
 #include "../common/fault_injection.hpp"
 #include "daggen/corpus.hpp"
 #include "emts/emts.hpp"
@@ -22,6 +23,7 @@ namespace {
 using testutil::FaultInjectingEvaluator;
 using testutil::FaultMode;
 using testutil::InjectedFault;
+using testutil::make_instance;
 
 struct EsFixture {
   Ptg g;
@@ -38,7 +40,7 @@ struct EsFixture {
           return make_fft_ptg(8, rng);
         }()),
         cluster(platform_by_name("chti")),
-        engine(g, model, cluster, {},
+        engine(make_instance(g, model, cluster), {},
                [&] {
                  EvalEngineConfig ec;
                  ec.threads = threads;
@@ -103,7 +105,7 @@ TEST(FaultInjection, CancelMidGenerationDrainsPoolAndKeepsBestSoFar) {
   EvalEngineConfig ec;
   ec.threads = 4;
   ec.cancel = &cancel;
-  EvaluationEngine engine(fx.g, fx.model, fx.cluster, {}, ec);
+  EvaluationEngine engine(make_instance(fx.g, fx.model, fx.cluster), {}, ec);
   EsConfig cfg = fx.es_cfg;
   cfg.generations = 50;
   cfg.cancel = &cancel;
@@ -130,7 +132,7 @@ TEST(FaultInjection, EmtsSurfacesCancellationFlag) {
   cfg.seed = 21;
   cfg.cancel = &cancel;
   cancel.request_cancel();  // trip before the run even starts
-  const EmtsResult r = Emts(cfg).schedule(g, model, cluster);
+  const EmtsResult r = Emts(cfg).schedule(make_instance(g, model, cluster));
   EXPECT_TRUE(r.cancelled);
   // Seeds are evaluated exactly even under a pending cancel, so the
   // returned best-so-far schedule is still valid.

@@ -32,20 +32,13 @@ namespace ptgsched {
 namespace {
 
 namespace reference = testutil::reference;
+using testutil::make_instance;
 using testutil::simple_task;
 
 struct Case {
   std::string label;
   std::shared_ptr<const ProblemInstance> pi;
 };
-
-std::shared_ptr<const ProblemInstance> make_instance(
-    Ptg g, std::shared_ptr<const ExecutionTimeModel> model,
-    const Cluster& cluster) {
-  return ProblemInstance::create(std::make_shared<const Ptg>(std::move(g)),
-                                 std::move(model),
-                                 std::make_shared<const Cluster>(cluster));
-}
 
 /// The generated graphs: `counts[i]` DAGGEN instances at sizes[i] tasks
 /// per class, plus the fft and strassen shapes whose size is at most

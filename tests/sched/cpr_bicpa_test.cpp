@@ -14,6 +14,8 @@
 namespace ptgsched {
 namespace {
 
+using testutil::make_instance;
+
 TEST(Cpr, FactoryName) {
   EXPECT_EQ(CprAllocation().name(), "cpr");
   EXPECT_EQ(BicpaAllocation().name(), "bicpa");
@@ -25,9 +27,10 @@ TEST(Cpr, AllocationsValidAndMappable) {
   const SyntheticModel model;
   const CprAllocation cpr;
   for (const auto& g : graphs) {
-    const Allocation alloc = cpr.allocate(g, model, c);
+    const auto pi = make_instance(g, model, c);
+    const Allocation alloc = cpr.allocate(*pi);
     validate_allocation(alloc, g, c);
-    const Schedule s = map_allocation(g, alloc, model, c);
+    const Schedule s = ListScheduler(pi).build_schedule(alloc);
     EXPECT_NO_THROW(validate_schedule(s, g, alloc, model, c));
   }
 }
@@ -40,9 +43,10 @@ TEST(Cpr, NeverWorseThanSequentialMapping) {
   const AmdahlModel model;
   const CprAllocation cpr;
   for (const auto& g : graphs) {
-    ListScheduler sched(g, c, model);
+    const auto pi = make_instance(g, model, c);
+    ListScheduler sched(pi);
     const double seq = sched.makespan(Allocation(g.num_tasks(), 1));
-    const double m = sched.makespan(cpr.allocate(g, model, c));
+    const double m = sched.makespan(cpr.allocate(*pi));
     EXPECT_LE(m, seq + 1e-9) << g.name();
   }
 }
@@ -57,9 +61,10 @@ TEST(Cpr, BeatsCpaOnMappedMakespanMostly) {
   double cpr_sum = 0.0;
   double cpa_sum = 0.0;
   for (const auto& g : graphs) {
-    ListScheduler sched(g, c, model);
-    cpr_sum += sched.makespan(CprAllocation().allocate(g, model, c));
-    cpa_sum += sched.makespan(CpaAllocation().allocate(g, model, c));
+    const auto pi = make_instance(g, model, c);
+    ListScheduler sched(pi);
+    cpr_sum += sched.makespan(CprAllocation().allocate(*pi));
+    cpa_sum += sched.makespan(CpaAllocation().allocate(*pi));
   }
   EXPECT_LE(cpr_sum, cpa_sum * 1.02);
 }
@@ -71,7 +76,8 @@ TEST(Cpr, SingleTaskGetsBestAllocation) {
   g.add_task(t);
   const Cluster c = testutil::unit_cluster(8);
   const testutil::LinearSpeedupModel model;
-  const Allocation alloc = CprAllocation().allocate(g, model, c);
+  const Allocation alloc =
+      CprAllocation().allocate(*make_instance(g, model, c));
   EXPECT_EQ(alloc[0], 8);  // perfectly scalable: grow to the whole machine
 }
 
@@ -81,7 +87,7 @@ TEST(Bicpa, AllocationsValidOnCorpus) {
   const SyntheticModel model;
   const BicpaAllocation bicpa;
   for (const auto& g : graphs) {
-    const Allocation alloc = bicpa.allocate(g, model, c);
+    const Allocation alloc = bicpa.allocate(*make_instance(g, model, c));
     validate_allocation(alloc, g, c);
   }
 }
@@ -93,10 +99,11 @@ TEST(Bicpa, NeverWorseThanCpaMapped) {
   const Cluster c = chti();
   const AmdahlModel model;
   for (const auto& g : graphs) {
-    ListScheduler sched(g, c, model);
+    const auto pi = make_instance(g, model, c);
+    ListScheduler sched(pi);
     const double bicpa =
-        sched.makespan(BicpaAllocation().allocate(g, model, c));
-    const double cpa = sched.makespan(CpaAllocation().allocate(g, model, c));
+        sched.makespan(BicpaAllocation().allocate(*pi));
+    const double cpa = sched.makespan(CpaAllocation().allocate(*pi));
     EXPECT_LE(bicpa, cpa + 1e-9) << g.name();
   }
 }
@@ -109,9 +116,10 @@ TEST(Bicpa, StrideCoversFullSweepEndpoint) {
   const AmdahlModel model;
   const BicpaAllocation coarse(7);
   for (const auto& g : graphs) {
-    ListScheduler sched(g, c, model);
-    EXPECT_LE(sched.makespan(coarse.allocate(g, model, c)),
-              sched.makespan(CpaAllocation().allocate(g, model, c)) + 1e-9);
+    const auto pi = make_instance(g, model, c);
+    ListScheduler sched(pi);
+    EXPECT_LE(sched.makespan(coarse.allocate(*pi)),
+              sched.makespan(CpaAllocation().allocate(*pi)) + 1e-9);
   }
 }
 
@@ -128,12 +136,13 @@ TEST(CprBicpa, DiamondBehaviour) {
   const Ptg g = testutil::diamond();
   const Cluster c = testutil::unit_cluster(8);
   const AmdahlModel model;
-  ListScheduler sched(g, c, model);
+  const auto pi = make_instance(g, model, c);
+  ListScheduler sched(pi);
   const double seq = sched.makespan(Allocation(g.num_tasks(), 1));
-  const double cpr = sched.makespan(CprAllocation().allocate(g, model, c));
+  const double cpr = sched.makespan(CprAllocation().allocate(*pi));
   const double bicpa =
-      sched.makespan(BicpaAllocation().allocate(g, model, c));
-  const double cpa = sched.makespan(CpaAllocation().allocate(g, model, c));
+      sched.makespan(BicpaAllocation().allocate(*pi));
+  const double cpa = sched.makespan(CpaAllocation().allocate(*pi));
   EXPECT_LT(cpr, seq);
   EXPECT_LE(bicpa, cpa + 1e-9);
 }

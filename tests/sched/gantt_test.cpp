@@ -14,11 +14,12 @@ namespace ptgsched {
 namespace {
 
 using testutil::FixedTimeModel;
+using testutil::make_instance;
 using testutil::unit_cluster;
 
 Schedule sample_schedule(const Ptg& g, const Cluster& c) {
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   return sched.build_schedule(Allocation(g.num_tasks(), 1));
 }
 

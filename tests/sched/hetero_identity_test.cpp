@@ -29,6 +29,8 @@
 namespace ptgsched {
 namespace {
 
+using testutil::make_instance;
+
 const std::vector<std::string>& corpus_classes() {
   static const std::vector<std::string> classes = {"fft", "strassen",
                                                    "layered", "irregular"};
@@ -56,7 +58,7 @@ TEST(HeteroDegeneracy, UniformSpeedTableIsBitIdenticalToSequentialTimes) {
   ASSERT_TRUE(flat.has_comm_costs());
   const SyntheticModel model;
   const Ptg g = layered_corpus(40, 1, 801).front();
-  const auto pi = ProblemInstance::borrow(g, model, flat);
+  const auto pi = make_instance(g, model, flat);
   const auto table = pi->proc_time_table();
   const auto P = static_cast<std::size_t>(flat.num_processors());
   for (TaskId v = 0; v < g.num_tasks(); ++v) {
@@ -95,8 +97,8 @@ TEST(HeteroDegeneracy, ReproducesHomogeneousWidthOnePlacements) {
       ListSchedulerOptions opts;
       opts.selection = policy;
       for (const auto& g : graphs) {
-        const auto pi_h = ProblemInstance::borrow(g, model, homog);
-        const auto pi_f = ProblemInstance::borrow(g, model, flat);
+        const auto pi_h = make_instance(g, model, homog);
+        const auto pi_f = make_instance(g, model, flat);
         ListScheduler homogeneous(pi_h, opts);
         ListScheduler hetero(pi_f, opts);
         ASSERT_FALSE(homogeneous.heterogeneous());
@@ -135,7 +137,7 @@ TEST(HeteroIdentity, FullPassMatchesTheOracle) {
         ListSchedulerOptions opts;
         opts.selection = policy;
         for (const auto& g : graphs) {
-          const auto pi = ProblemInstance::borrow(g, model, c);
+          const auto pi = make_instance(g, model, c);
           ListScheduler sched(pi, opts);
           ReferenceMapper oracle(pi, opts);
           Rng rng(derive_seed(804, g.num_tasks(),
@@ -168,7 +170,7 @@ TEST(HeteroIdentity, SchedulesAreValidOnHeterogeneousPlatforms) {
   for (const Cluster& c : hetero_platforms()) {
     const auto graphs = irregular_corpus(45, 2, 805);
     for (const auto& g : graphs) {
-      const auto pi = ProblemInstance::borrow(g, model, c);
+      const auto pi = make_instance(g, model, c);
       ListScheduler sched(pi);
       Rng rng(806);
       const Allocation alloc =
@@ -192,7 +194,7 @@ TEST(HeteroIdentity, EngineTrajectoriesAgreeAcrossThreads) {
   const SyntheticModel model;
   for (const Cluster& c : hetero_platforms()) {
     const Ptg g = irregular_corpus(40, 1, 807).front();
-    const auto pi = ProblemInstance::borrow(g, model, c);
+    const auto pi = make_instance(g, model, c);
 
     EmtsConfig cfg = emts5_config();
     cfg.seed = 808;

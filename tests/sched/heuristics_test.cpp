@@ -14,6 +14,7 @@
 namespace ptgsched {
 namespace {
 
+using testutil::make_instance;
 using testutil::unit_cluster;
 
 TEST(Factory, CreatesEveryHeuristic) {
@@ -33,9 +34,10 @@ TEST(ListBaselines, DegradeToAllOnesOnHomogeneousClusters) {
   const Ptg g = testutil::diamond();
   const Cluster c = unit_cluster(8);
   const AmdahlModel model;
-  EXPECT_EQ(make_heuristic("heft")->allocate(g, model, c),
+  const auto pi = make_instance(g, model, c);
+  EXPECT_EQ(make_heuristic("heft")->allocate(*pi),
             (Allocation{1, 1, 1, 1}));
-  EXPECT_EQ(make_heuristic("peft")->allocate(g, model, c),
+  EXPECT_EQ(make_heuristic("peft")->allocate(*pi),
             (Allocation{1, 1, 1, 1}));
 }
 
@@ -45,7 +47,7 @@ TEST(ListBaselines, ValidAllocationsOnHeterogeneousCorpus) {
   for (const Cluster& c : {heterogeneous_variant(chti()),
                            heterogeneous_variant(chti(), 0.3)}) {
     for (const auto& g : graphs) {
-      const auto pi = ProblemInstance::borrow(g, model, c);
+      const auto pi = make_instance(g, model, c);
       for (const char* name : {"heft", "peft"}) {
         const Allocation alloc = make_heuristic(name)->allocate(*pi);
         EXPECT_NO_THROW(validate_allocation(alloc, g, c)) << name;
@@ -63,7 +65,7 @@ TEST(ListBaselines, PreferFastProcessorsOnSteepSpeedGradients) {
   const Ptg g = testutil::chain3();
   const Cluster c("steep", 4, 1.0, {0.25, 0.25, 1.0, 0.25});
   const testutil::FixedTimeModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
   EXPECT_EQ(make_heuristic("heft")->allocate(*pi), (Allocation{3, 3, 3}));
   EXPECT_EQ(make_heuristic("peft")->allocate(*pi), (Allocation{3, 3, 3}));
 }
@@ -92,7 +94,7 @@ TEST(OneEach, AllOnes) {
   const Ptg g = testutil::diamond();
   const Cluster c = unit_cluster(8);
   const AmdahlModel model;
-  EXPECT_EQ(OneEachAllocation().allocate(g, model, c),
+  EXPECT_EQ(OneEachAllocation().allocate(*make_instance(g, model, c)),
             (Allocation{1, 1, 1, 1}));
 }
 
@@ -101,7 +103,8 @@ TEST(Cpa, AllocationsAlwaysValid) {
   const Cluster c = platform_by_name("chti");
   const AmdahlModel model;
   for (const auto& g : graphs) {
-    const Allocation alloc = CpaAllocation().allocate(g, model, c);
+    const Allocation alloc =
+        CpaAllocation().allocate(*make_instance(g, model, c));
     EXPECT_NO_THROW(validate_allocation(alloc, g, c));
   }
 }
@@ -112,7 +115,8 @@ TEST(Cpa, StopsWhenCpMeetsArea) {
   const Cluster c = platform_by_name("chti");
   const AmdahlModel model;
   for (const auto& g : graphs) {
-    const Allocation alloc = CpaAllocation().allocate(g, model, c);
+    const Allocation alloc =
+        CpaAllocation().allocate(*make_instance(g, model, c));
     const double t_cp = allocation_critical_path(g, alloc, model, c);
     const double t_a = average_area(g, alloc, model, c);
     // Amdahl gains are always positive, so CPA only stops at the balance
@@ -130,7 +134,8 @@ TEST(Cpa, GrowsCriticalChainAllocations) {
   const Ptg g = testutil::chain3();
   const Cluster c = unit_cluster(16);
   const AmdahlModel model;
-  const Allocation alloc = CpaAllocation().allocate(g, model, c);
+  const Allocation alloc =
+      CpaAllocation().allocate(*make_instance(g, model, c));
   int total = 0;
   for (const int s : alloc) total += s;
   EXPECT_GT(total, 3);
@@ -143,7 +148,8 @@ TEST(Cpa, Model2StopsEarly) {
   const Cluster c = platform_by_name("grelon");
   const SyntheticModel model;
   for (const auto& g : graphs) {
-    const Allocation alloc = CpaAllocation().allocate(g, model, c);
+    const Allocation alloc =
+        CpaAllocation().allocate(*make_instance(g, model, c));
     for (const int s : alloc) {
       EXPECT_LE(s, 16) << "Model 2 should stall CPA allocations early";
     }
@@ -156,8 +162,9 @@ TEST(Hcpa, EquivalentToCpaOnHomogeneousCluster) {
   const Cluster c = platform_by_name("grelon");
   const AmdahlModel model;
   for (const auto& g : graphs) {
-    EXPECT_EQ(HcpaAllocation().allocate(g, model, c),
-              CpaAllocation().allocate(g, model, c));
+    const auto pi = make_instance(g, model, c);
+    EXPECT_EQ(HcpaAllocation().allocate(*pi),
+              CpaAllocation().allocate(*pi));
   }
 }
 
@@ -166,7 +173,8 @@ TEST(Mcpa, RespectsPerLevelBound) {
   const Cluster chti_c = platform_by_name("chti");
   const AmdahlModel model;
   for (const auto& g : graphs) {
-    const Allocation alloc = McpaAllocation().allocate(g, model, chti_c);
+    const Allocation alloc =
+        McpaAllocation().allocate(*make_instance(g, model, chti_c));
     const auto levels = tasks_by_level(g);
     for (const auto& level : levels) {
       long long used = 0;
@@ -192,8 +200,9 @@ TEST(Mcpa, LevelBoundActuallyBinds) {
   const AmdahlModel model;
   bool any_difference = false;
   for (const auto& g : graphs) {
-    const Allocation cpa = CpaAllocation().allocate(g, model, c);
-    const Allocation mcpa = McpaAllocation().allocate(g, model, c);
+    const auto pi = make_instance(g, model, c);
+    const Allocation cpa = CpaAllocation().allocate(*pi);
+    const Allocation mcpa = McpaAllocation().allocate(*pi);
     if (cpa == mcpa) continue;
     any_difference = true;
     bool cpa_violates = false;
@@ -215,8 +224,9 @@ TEST(Mcpa2, AtLeastAsWideAsMcpa) {
   const Cluster c = platform_by_name("chti");
   const AmdahlModel model;
   for (const auto& g : graphs) {
-    const Allocation mcpa = McpaAllocation().allocate(g, model, c);
-    const Allocation mcpa2 = Mcpa2Allocation().allocate(g, model, c);
+    const auto pi = make_instance(g, model, c);
+    const Allocation mcpa = McpaAllocation().allocate(*pi);
+    const Allocation mcpa2 = Mcpa2Allocation().allocate(*pi);
     for (TaskId v = 0; v < g.num_tasks(); ++v) {
       EXPECT_GE(mcpa2[v], mcpa[v]) << g.name() << " task " << v;
     }
@@ -231,8 +241,9 @@ TEST(Mcpa2, PostPassOnlyWhenItShortens) {
   const Cluster c = platform_by_name("grelon");
   const SyntheticModel model;
   for (const auto& g : graphs) {
-    const Allocation mcpa = McpaAllocation().allocate(g, model, c);
-    const Allocation mcpa2 = Mcpa2Allocation().allocate(g, model, c);
+    const auto pi = make_instance(g, model, c);
+    const Allocation mcpa = McpaAllocation().allocate(*pi);
+    const Allocation mcpa2 = Mcpa2Allocation().allocate(*pi);
     for (TaskId v = 0; v < g.num_tasks(); ++v) {
       EXPECT_LE(model.time(g.task(v), mcpa2[v], c),
                 model.time(g.task(v), mcpa[v], c) + 1e-12);
@@ -246,7 +257,8 @@ TEST(DeltaCritical, CriticalTasksShareProcessors) {
   const Ptg g = testutil::diamond();
   const Cluster c = unit_cluster(12);
   const testutil::FixedTimeModel model;
-  const Allocation alloc = DeltaCriticalAllocation(0.9).allocate(g, model, c);
+  const Allocation alloc =
+      DeltaCriticalAllocation(0.9).allocate(*make_instance(g, model, c));
   EXPECT_EQ(alloc[0], 12);  // sole source: whole machine
   EXPECT_EQ(alloc[1], 12);  // critical task of level 1
   EXPECT_EQ(alloc[2], 1);   // non-critical
@@ -257,7 +269,8 @@ TEST(DeltaCritical, DeltaZeroMakesEveryoneCritical) {
   const Ptg g = testutil::diamond();
   const Cluster c = unit_cluster(12);
   const testutil::FixedTimeModel model;
-  const Allocation alloc = DeltaCriticalAllocation(0.0).allocate(g, model, c);
+  const Allocation alloc =
+      DeltaCriticalAllocation(0.0).allocate(*make_instance(g, model, c));
   // Level 1 has two critical tasks -> P / 2 each.
   EXPECT_EQ(alloc[1], 6);
   EXPECT_EQ(alloc[2], 6);
@@ -268,7 +281,8 @@ TEST(DeltaCritical, ManyCriticalTasksFloorToOne) {
   const Ptg g = testutil::fork_join(30);
   const Cluster c = unit_cluster(12);
   const testutil::FixedTimeModel model;
-  const Allocation alloc = DeltaCriticalAllocation(0.9).allocate(g, model, c);
+  const Allocation alloc =
+      DeltaCriticalAllocation(0.9).allocate(*make_instance(g, model, c));
   for (TaskId v = 1; v <= 30; ++v) EXPECT_EQ(alloc[v], 1);
 }
 
@@ -283,7 +297,8 @@ TEST(DeltaCritical, AllocationsValidOnCorpus) {
   const SyntheticModel model;
   const DeltaCriticalAllocation h(0.9);
   for (const auto& g : graphs) {
-    EXPECT_NO_THROW(validate_allocation(h.allocate(g, model, c), g, c));
+    EXPECT_NO_THROW(
+        validate_allocation(h.allocate(*make_instance(g, model, c)), g, c));
   }
 }
 
@@ -295,11 +310,12 @@ TEST(Heuristics, MappedSchedulesBeatSequentialOnParallelGraphs) {
   const Cluster c = platform_by_name("grelon");
   const AmdahlModel model;
   for (const auto& g : graphs) {
-    ListScheduler sched(g, c, model);
-    const double seq = sched.makespan(OneEachAllocation().allocate(g, model, c));
+    const auto pi = make_instance(g, model, c);
+    ListScheduler sched(pi);
+    const double seq = sched.makespan(OneEachAllocation().allocate(*pi));
     for (const char* name : {"cpa", "mcpa", "mcpa2", "delta"}) {
       const double m =
-          sched.makespan(make_heuristic(name)->allocate(g, model, c));
+          sched.makespan(make_heuristic(name)->allocate(*pi));
       EXPECT_LE(m, seq * 1.05) << name << " on " << g.name();
     }
   }

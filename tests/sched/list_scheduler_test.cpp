@@ -14,13 +14,14 @@ namespace {
 
 using testutil::FixedTimeModel;
 using testutil::LinearSpeedupModel;
+using testutil::make_instance;
 using testutil::unit_cluster;
 
 TEST(ListScheduler, ChainRunsSequentially) {
   const Ptg g = testutil::chain3();  // times 1, 2, 3
   const Cluster c = unit_cluster(4);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   EXPECT_DOUBLE_EQ(sched.makespan({1, 1, 1}), 6.0);
 
   const Schedule s = sched.build_schedule({1, 1, 1});
@@ -34,7 +35,7 @@ TEST(ListScheduler, IndependentTasksRunConcurrently) {
   const Ptg g = testutil::two_chains();  // chains (2,2) and (3,3)
   const Cluster c = unit_cluster(2);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   EXPECT_DOUBLE_EQ(sched.makespan({1, 1, 1, 1}), 6.0);
 }
 
@@ -42,7 +43,7 @@ TEST(ListScheduler, SerializesWhenProcessorsScarce) {
   const Ptg g = testutil::two_chains();
   const Cluster c = unit_cluster(1);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   // One processor: total work 2+2+3+3 = 10.
   EXPECT_DOUBLE_EQ(sched.makespan({1, 1, 1, 1}), 10.0);
 }
@@ -51,7 +52,7 @@ TEST(ListScheduler, DiamondWithWideAllocation) {
   const Ptg g = testutil::diamond();  // s=1, l=4, r=2, t=1
   const Cluster c = unit_cluster(4);
   const LinearSpeedupModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   // s on 4 procs: 0.25; l on 2: 2.0; r on 2: 1.0; t on 4: 0.25.
   // l and r run concurrently -> makespan 0.25 + max(2,1) + 0.25 = 2.5.
   EXPECT_DOUBLE_EQ(sched.makespan({4, 2, 2, 4}), 2.5);
@@ -63,7 +64,7 @@ TEST(ListScheduler, WideTaskWaitsForEnoughProcessors) {
   const Ptg g = testutil::fork_join(2);  // src=1, w=2 each, sink=1
   const Cluster c = unit_cluster(2);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   // src(1) -> workers in parallel (2) -> sink (1): makespan 4.
   EXPECT_DOUBLE_EQ(sched.makespan({1, 1, 1, 2}), 4.0);
 }
@@ -74,7 +75,7 @@ TEST(ListScheduler, HigherBottomLevelGoesFirst) {
   const Ptg g = testutil::two_chains();  // b-chain longer
   const Cluster c = unit_cluster(1);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   const Schedule s = sched.build_schedule({1, 1, 1, 1});
   EXPECT_LT(s.placement(2).start, s.placement(0).start);  // b0 before a0
 }
@@ -83,7 +84,7 @@ TEST(ListScheduler, ProcessorSetIsContiguousInAvailability) {
   const Ptg g = testutil::fork_join(3);
   const Cluster c = unit_cluster(4);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   const Schedule s = sched.build_schedule({4, 1, 1, 1, 4});
   // src occupies all 4 processors; workers then occupy distinct ones.
   std::set<int> used;
@@ -100,7 +101,7 @@ TEST(ListScheduler, MakespanMatchesBuildSchedule) {
   const Cluster c = platform_by_name("chti");
   const AmdahlModel model;
   for (const auto& g : graphs) {
-    ListScheduler sched(g, c, model);
+    ListScheduler sched(make_instance(g, model, c));
     Allocation alloc(g.num_tasks());
     Rng rng(g.num_tasks());
     for (auto& s : alloc) {
@@ -115,7 +116,7 @@ TEST(ListScheduler, ReusableAcrossAllocations) {
   const Ptg g = testutil::diamond();
   const Cluster c = unit_cluster(8);
   const LinearSpeedupModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   const double m1 = sched.makespan({1, 1, 1, 1});
   (void)sched.makespan({8, 8, 8, 8});
   EXPECT_DOUBLE_EQ(sched.makespan({1, 1, 1, 1}), m1);  // no state leakage
@@ -125,7 +126,7 @@ TEST(ListScheduler, RejectsInvalidAllocation) {
   const Ptg g = testutil::chain3();
   const Cluster c = unit_cluster(4);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   EXPECT_THROW((void)sched.makespan({1, 1}), GraphError);
   EXPECT_THROW((void)sched.makespan({1, 1, 9}), GraphError);
 }
@@ -135,7 +136,7 @@ TEST(ListScheduler, RejectsInvalidGraph) {
   g.add_task(testutil::simple_task("a", 0.0));  // bad flops
   const Cluster c = unit_cluster(2);
   const FixedTimeModel model;
-  EXPECT_THROW(ListScheduler(g, c, model), GraphError);
+  EXPECT_THROW(ListScheduler(make_instance(g, model, c)), GraphError);
 }
 
 TEST(ListScheduler, BestFitNeverWorseOnSmallCases) {
@@ -145,9 +146,9 @@ TEST(ListScheduler, BestFitNeverWorseOnSmallCases) {
   const Ptg g = testutil::fork_join(3);
   const Cluster c = unit_cluster(4);
   const LinearSpeedupModel model;
-  ListScheduler earliest(g, c, model,
-                         {ProcessorSelection::EarliestAvailable});
-  ListScheduler bestfit(g, c, model, {ProcessorSelection::BestFit});
+  const auto pi = make_instance(g, model, c);
+  ListScheduler earliest(pi, {ProcessorSelection::EarliestAvailable});
+  ListScheduler bestfit(pi, {ProcessorSelection::BestFit});
   const Allocation alloc{2, 2, 1, 1, 4};
   const double me = earliest.makespan(alloc);
   const double mb = bestfit.makespan(alloc);
@@ -160,7 +161,8 @@ TEST(ListScheduler, BestFitSchedulesAreValid) {
   const Cluster c = platform_by_name("chti");
   const SyntheticModel model;
   for (const auto& g : graphs) {
-    ListScheduler sched(g, c, model, {ProcessorSelection::BestFit});
+    ListScheduler sched(make_instance(g, model, c),
+                        {ProcessorSelection::BestFit});
     const Allocation alloc = uniform_allocation(g, c, 3);
     const Schedule s = sched.build_schedule(alloc);
     EXPECT_NO_THROW(validate_schedule(s, g, alloc, model, c));
@@ -182,7 +184,7 @@ TEST_P(ListSchedulerProperty, RandomAllocationsProduceValidSchedules) {
   const Ptg g = make_random_ptg(params, rng);
   const Cluster c = unit_cluster(procs);
   const SyntheticModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   for (int trial = 0; trial < 5; ++trial) {
     Allocation alloc(g.num_tasks());
     for (auto& s : alloc) {

@@ -15,6 +15,7 @@ namespace {
 
 using testutil::FixedTimeModel;
 using testutil::LinearSpeedupModel;
+using testutil::make_instance;
 using testutil::unit_cluster;
 
 TEST(TaskExtremes, AmdahlFastestIsFullMachine) {
@@ -79,14 +80,15 @@ TEST(LowerBounds, NeverExceedAnyValidSchedule) {
   // across heuristics, EMTS, models, and platforms.
   const auto graphs = irregular_corpus(60, 4, 71);
   const Cluster chti_c = chti();
-  const SyntheticModel model2;
-  const AmdahlModel model1;
+  const std::vector<std::shared_ptr<const ExecutionTimeModel>> models = {
+      std::make_shared<const AmdahlModel>(),
+      std::make_shared<const SyntheticModel>()};
   for (const auto& g : graphs) {
-    for (const ExecutionTimeModel* model :
-         std::initializer_list<const ExecutionTimeModel*>{&model1, &model2}) {
+    for (const auto& model : models) {
+      const auto instance = make_instance(g, model, chti_c);
       const MakespanLowerBounds lb =
           makespan_lower_bounds(g, *model, chti_c);
-      ListScheduler sched(g, chti_c, *model);
+      ListScheduler sched(instance);
       // Random allocation.
       Rng rng(g.num_tasks());
       Allocation alloc(g.num_tasks());
@@ -97,7 +99,7 @@ TEST(LowerBounds, NeverExceedAnyValidSchedule) {
 
       EmtsConfig cfg = emts5_config();
       cfg.seed = 1;
-      const double emts = Emts(cfg).schedule(g, *model, chti_c).makespan;
+      const double emts = Emts(cfg).schedule(instance).makespan;
       EXPECT_GE(emts, lb.combined() - 1e-9) << g.name();
     }
   }
@@ -110,7 +112,7 @@ TEST(LowerBounds, TightOnEmbarrassinglyParallelCase) {
   const Cluster c = unit_cluster(2);
   const FixedTimeModel model;
   const MakespanLowerBounds lb = makespan_lower_bounds(g, model, c);
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   EXPECT_DOUBLE_EQ(sched.makespan({1, 1, 1, 1}), lb.combined());
 }
 

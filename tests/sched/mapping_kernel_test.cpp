@@ -18,7 +18,6 @@
 #include "../common/test_graphs.hpp"
 #include "core/problem_instance.hpp"
 #include "daggen/corpus.hpp"
-#include "platform/multi_cluster.hpp"
 #include "sched/list_scheduler.hpp"
 #include "sched/multi_cluster_scheduler.hpp"
 #include "sched/validate.hpp"
@@ -28,6 +27,7 @@ namespace ptgsched {
 namespace {
 
 using testutil::FixedTimeModel;
+using testutil::make_instance;
 using testutil::unit_cluster;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -85,12 +85,12 @@ TEST(MappingKernel, FullPassMatchesReferenceMapperOracle) {
       for (const auto& g : corpus_by_name(cls, 40, 2, 903)) {
         Rng rng(derive_seed(44, g.num_tasks(),
                             static_cast<std::uint64_t>(policy)));
-        expect_oracle_agreement(ProblemInstance::borrow(g, model, c), opts,
+        expect_oracle_agreement(make_instance(g, model, c), opts,
                                 rng, cls);
       }
     }
     Rng rng(derive_seed(45, static_cast<std::uint64_t>(policy)));
-    expect_oracle_agreement(ProblemInstance::borrow(ties, fixed, unit), opts,
+    expect_oracle_agreement(make_instance(ties, fixed, unit), opts,
                             rng, "fork-join ties");
   }
 }
@@ -99,7 +99,7 @@ TEST(MappingKernel, EarliestStartIsAPureQuery) {
   const Ptg g = testutil::chain3();
   const Cluster c = unit_cluster(4);
   const FixedTimeModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
   MappingKernel core(*pi, {MappingLane{4, 0}});
   // Probing must not mutate lane state: repeated queries agree.
   EXPECT_DOUBLE_EQ(core.earliest_start(0, 2, 1.5), 1.5);
@@ -111,9 +111,10 @@ TEST(MappingKernel, SingleAndMultiClusterAgreeOnOneClusterPlatform) {
   const auto graphs = irregular_corpus(40, 3, 77);
   const Cluster c = chti();
   const SyntheticModel model;
-  const MultiClusterPlatform platform({c});
   for (const auto& g : graphs) {
-    const auto pi = ProblemInstance::borrow(g, model, c);
+    const auto pi = make_instance(g, model, c);
+    // One lane: the multi-cluster mapping over the same single instance.
+    const std::vector<std::shared_ptr<const ProblemInstance>> clusters{pi};
     ListScheduler single(pi);
     Rng rng(g.num_tasks());
     for (int trial = 0; trial < 5; ++trial) {
@@ -129,7 +130,7 @@ TEST(MappingKernel, SingleAndMultiClusterAgreeOnOneClusterPlatform) {
         mc.sizes[v][0] = alloc[v];
       }
       const Schedule s1 = single.build_schedule(alloc);
-      const Schedule s2 = map_mc_allocation(g, mc, model, platform, times);
+      const Schedule s2 = map_mc_allocation(mc, clusters, times);
       ASSERT_EQ(s1.num_tasks(), s2.num_tasks());
       EXPECT_DOUBLE_EQ(s1.makespan(), s2.makespan());
       for (TaskId v = 0; v < g.num_tasks(); ++v) {
@@ -150,7 +151,7 @@ TEST(MappingKernel, ValueAndPlacementPathsAgreeForBothPolicies) {
     ListSchedulerOptions opts;
     opts.selection = policy;
     for (const auto& g : graphs) {
-      ListScheduler sched(g, c, model, opts);
+      ListScheduler sched(make_instance(g, model, c), opts);
       Rng rng(g.num_tasks() + static_cast<std::size_t>(policy));
       for (int trial = 0; trial < 5; ++trial) {
         const Allocation alloc =
@@ -169,7 +170,7 @@ TEST(MappingKernel, RejectionCounterResetsExactly) {
   const Ptg g = testutil::chain3();  // sequential: makespan 6 on all-ones
   const Cluster c = unit_cluster(2);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   const Allocation alloc{1, 1, 1};
 
   EXPECT_EQ(sched.rejected_count(), 0u);
@@ -191,7 +192,7 @@ TEST(MappingKernel, SchedulersShareInstanceAcrossConstructions) {
   const Ptg g = testutil::diamond();
   const Cluster c = unit_cluster(4);
   const FixedTimeModel model;
-  const auto pi = ProblemInstance::borrow(g, model, c);
+  const auto pi = make_instance(g, model, c);
   ListScheduler a(pi);
   ListScheduler b(pi);
   EXPECT_EQ(&a.instance(), &b.instance());

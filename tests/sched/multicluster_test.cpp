@@ -14,6 +14,7 @@ namespace ptgsched {
 namespace {
 
 using testutil::FixedTimeModel;
+using testutil::make_instance;
 using testutil::LinearSpeedupModel;
 
 TEST(MultiClusterPlatform, GlobalProcessorNumbering) {
@@ -49,6 +50,28 @@ TEST(MultiClusterPlatform, RejectsEmptyAndRoundTripsJson) {
   EXPECT_EQ(back.cluster(0).name(), "chti");
 }
 
+/// The owned problems McHcpa and map_mc_allocation read: one instance per
+/// cluster of `p` and one on its reference cluster, all over one shared
+/// copy of `g`.
+struct McProblem {
+  std::shared_ptr<const ProblemInstance> reference;
+  std::vector<std::shared_ptr<const ProblemInstance>> clusters;
+};
+
+McProblem mc_problem(const Ptg& g,
+                     const std::shared_ptr<const ExecutionTimeModel>& model,
+                     const MultiClusterPlatform& p) {
+  const auto graph = std::make_shared<const Ptg>(g);
+  McProblem out;
+  out.reference = ProblemInstance::create(
+      graph, model, std::make_shared<const Cluster>(p.reference_cluster()));
+  for (std::size_t k = 0; k < p.num_clusters(); ++k) {
+    out.clusters.push_back(ProblemInstance::create(
+        graph, model, std::make_shared<const Cluster>(p.cluster(k))));
+  }
+  return out;
+}
+
 McAllocation all_ones(const Ptg& g, const MultiClusterPlatform& p) {
   McAllocation a;
   a.sizes.assign(g.num_tasks(), std::vector<int>(p.num_clusters(), 1));
@@ -73,11 +96,11 @@ TEST(McMapping, PrefersFasterCluster) {
   const Ptg g = testutil::two_chains();
   const MultiClusterPlatform p(
       {Cluster("slow", 1, 1e-9), Cluster("fast", 1, 1e-8)});
-  const AmdahlModel model;
+  const auto model = std::make_shared<const AmdahlModel>();
   std::vector<double> priority(g.num_tasks(), 1.0);
-  const Schedule s =
-      map_mc_allocation(g, all_ones(g, p), model, p, priority);
-  validate_mc_schedule(s, g, all_ones(g, p), model, p);
+  const Schedule s = map_mc_allocation(
+      all_ones(g, p), mc_problem(g, model, p).clusters, priority);
+  validate_mc_schedule(s, g, all_ones(g, p), *model, p);
   // The head of the longer chain goes to the fast cluster (processor 1).
   EXPECT_EQ(s.placement(2).processors.front(), 1);
 }
@@ -86,11 +109,12 @@ TEST(McMapping, UsesBothClustersUnderLoad) {
   const Ptg g = testutil::fork_join(8);
   const MultiClusterPlatform p(
       {Cluster("a", 2, 1e-9), Cluster("b", 2, 1e-9)});
-  const FixedTimeModel model;
+  const auto model = std::make_shared<const FixedTimeModel>();
   std::vector<double> priority(g.num_tasks(), 1.0);
   const McAllocation alloc = all_ones(g, p);
-  const Schedule s = map_mc_allocation(g, alloc, model, p, priority);
-  validate_mc_schedule(s, g, alloc, model, p);
+  const Schedule s =
+      map_mc_allocation(alloc, mc_problem(g, model, p).clusters, priority);
+  validate_mc_schedule(s, g, alloc, *model, p);
   bool used_a = false;
   bool used_b = false;
   for (const PlacedTask& t : s.placed()) {
@@ -106,18 +130,19 @@ TEST(McMapping, SingleClusterDegeneratesToListScheduler) {
   const auto graphs = irregular_corpus(40, 3, 101);
   const Cluster c = chti();
   const MultiClusterPlatform p({c});
-  const SyntheticModel model;
+  const auto model = std::make_shared<const SyntheticModel>();
   for (const auto& g : graphs) {
-    const Allocation alloc = CpaAllocation().allocate(g, model, c);
+    const McProblem problem = mc_problem(g, model, p);
+    const Allocation alloc = CpaAllocation().allocate(*problem.clusters[0]);
     McAllocation mc;
     mc.sizes.resize(g.num_tasks());
     std::vector<double> priority(g.num_tasks());
     for (TaskId v = 0; v < g.num_tasks(); ++v) {
       mc.sizes[v] = {alloc[v]};
-      priority[v] = model.time(g.task(v), alloc[v], c);
+      priority[v] = model->time(g.task(v), alloc[v], c);
     }
-    ListScheduler single(g, c, model);
-    const Schedule sm = map_mc_allocation(g, mc, model, p, priority);
+    ListScheduler single(problem.clusters[0]);
+    const Schedule sm = map_mc_allocation(mc, problem.clusters, priority);
     EXPECT_DOUBLE_EQ(sm.makespan(), single.makespan(alloc)) << g.name();
   }
 }
@@ -126,20 +151,21 @@ TEST(McHcpa, TranslationMatchesReferenceTimes) {
   Rng rng(5);
   const Ptg g = make_fft_ptg(8, rng);
   const MultiClusterPlatform p = chti_grelon();
-  const AmdahlModel model;
-  const Allocation ref_alloc =
-      CpaAllocation().allocate(g, model, p.reference_cluster());
-  const McAllocation mc = McHcpa::translate(g, ref_alloc, model, p);
+  const auto model = std::make_shared<const AmdahlModel>();
+  const McProblem problem = mc_problem(g, model, p);
+  const Allocation ref_alloc = CpaAllocation().allocate(*problem.reference);
+  const McAllocation mc =
+      McHcpa::translate(ref_alloc, *problem.reference, problem.clusters);
   const Cluster ref = p.reference_cluster();
   for (TaskId v = 0; v < g.num_tasks(); ++v) {
-    const double ref_time = model.time(g.task(v), ref_alloc[v], ref);
+    const double ref_time = model->time(g.task(v), ref_alloc[v], ref);
     for (std::size_t k = 0; k < p.num_clusters(); ++k) {
       const int chosen = mc.sizes[v][k];
-      const double t = model.time(g.task(v), chosen, p.cluster(k));
+      const double t = model->time(g.task(v), chosen, p.cluster(k));
       // Chosen is minimal: it either matches the reference time, or it is
       // the whole cluster (no allocation was fast enough).
       if (t <= ref_time && chosen > 1) {
-        EXPECT_GT(model.time(g.task(v), chosen - 1, p.cluster(k)), ref_time)
+        EXPECT_GT(model->time(g.task(v), chosen - 1, p.cluster(k)), ref_time)
             << "task " << v << " cluster " << k;
       }
       if (t > ref_time) {
@@ -156,7 +182,9 @@ TEST(McHcpa, FullPipelineProducesValidSchedules) {
   for (const char* model_name : {"model1", "model2"}) {
     const auto model = make_model(model_name);
     for (const auto& g : graphs) {
-      const McHcpaResult r = hcpa.schedule(g, *model, p);
+      const McProblem problem = mc_problem(g, model, p);
+      const McHcpaResult r =
+          hcpa.schedule(*problem.reference, problem.clusters);
       EXPECT_NO_THROW(
           validate_mc_schedule(r.schedule, g, r.allocation, *model, p))
           << g.name() << " " << model_name;
@@ -171,13 +199,14 @@ TEST(McHcpa, BeatsWorseSingleClusterOption) {
   // slower small cluster.
   Rng rng(7);
   const Ptg g = make_fft_ptg(16, rng);
-  const AmdahlModel model;
-  const MultiClusterPlatform both = chti_grelon();
-  const McHcpaResult combined = McHcpa().schedule(g, model, both);
+  const auto model = std::make_shared<const AmdahlModel>();
+  const McProblem both = mc_problem(g, model, chti_grelon());
+  const McHcpaResult combined =
+      McHcpa().schedule(*both.reference, both.clusters);
 
-  const Cluster small = chti();
-  const Allocation alloc = CpaAllocation().allocate(g, model, small);
-  ListScheduler mapper(g, small, model);
+  const auto small = make_instance(g, model, chti());
+  const Allocation alloc = CpaAllocation().allocate(*small);
+  ListScheduler mapper(small);
   EXPECT_LE(combined.schedule.makespan(),
             mapper.makespan(alloc) * 1.05);
 }

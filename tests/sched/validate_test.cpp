@@ -12,6 +12,7 @@ namespace ptgsched {
 namespace {
 
 using testutil::FixedTimeModel;
+using testutil::make_instance;
 using testutil::unit_cluster;
 
 struct Fixture {
@@ -185,7 +186,7 @@ TEST(Metrics, UtilizationPerfectWhenSaturated) {
   const Ptg g = testutil::two_chains();
   const Cluster c = unit_cluster(2);
   const FixedTimeModel model;
-  ListScheduler sched(g, c, model);
+  ListScheduler sched(make_instance(g, model, c));
   // (2,2) on proc A and (3,3) on proc B -> makespan 6, work 10.
   const Schedule s = sched.build_schedule({1, 1, 1, 1});
   const ScheduleMetrics m = compute_metrics(s, g);

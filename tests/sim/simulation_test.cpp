@@ -19,6 +19,7 @@ namespace ptgsched {
 namespace {
 
 using testutil::FixedTimeModel;
+using testutil::make_instance;
 using testutil::unit_cluster;
 
 std::shared_ptr<const ProblemInstance> chain3_instance(int procs) {
@@ -32,7 +33,7 @@ TEST(Simulation, FaultFreeReplayIsBitIdentical) {
   const Ptg g = irregular_corpus(40, 1, 5).front();
   const Cluster c = chti();
   const SyntheticModel model;
-  const auto instance = ProblemInstance::borrow(g, model, c);
+  const auto instance = make_instance(g, model, c);
 
   const Allocation alloc = make_heuristic("mcpa")->allocate(*instance);
   ListScheduler mapper(instance);
@@ -205,7 +206,7 @@ TEST(Simulation, DeterministicAcrossRepeatedRuns) {
   const Ptg g = irregular_corpus(30, 1, 9).front();
   const Cluster c = unit_cluster(6);
   const FixedTimeModel model;
-  const auto instance = ProblemInstance::borrow(g, model, c);
+  const auto instance = make_instance(g, model, c);
   const Allocation alloc = make_heuristic("mcpa")->allocate(*instance);
 
   FaultModelConfig fcfg;
@@ -262,7 +263,7 @@ TEST(ResidualProblem, PrunesCompletedTasksAndRemapsIds) {
   const Ptg g = testutil::diamond();  // s -> {l, r} -> t
   const Cluster c = unit_cluster(4);
   const FixedTimeModel model;
-  const auto instance = ProblemInstance::borrow(g, model, c);
+  const auto instance = make_instance(g, model, c);
 
   const std::vector<bool> completed = {true, false, false, false};
   const ResidualProblem residual =

@@ -1,4 +1,5 @@
-// Tests for the thread pool used to evaluate EA offspring in parallel.
+// Tests for the thread pool used to evaluate EA offspring in parallel: its
+// one dispatch, parallel_for_blocked.
 
 #include "support/thread_pool.hpp"
 
@@ -7,84 +8,95 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace ptgsched {
 namespace {
 
 TEST(ThreadPool, InlineModeRunsAllIterations) {
+  // Without workers every block runs on the caller, in index order.
   ThreadPool pool(0);
   EXPECT_EQ(pool.num_threads(), 0u);
-  std::vector<int> hits(100, 0);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i] += 1; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 100);
-}
-
-TEST(ThreadPool, ZeroIterationsIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for(0, [&](std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
-TEST(ThreadPool, EachIndexVisitedExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t n = 5000;
-  std::vector<std::atomic<int>> hits(n);
-  pool.parallel_for(n, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_for_blocked(100, 1, [&](std::size_t lo, std::size_t,
+                                        std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(lo);
+  });
+  std::vector<std::size_t> expected(100);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
 }
 
 TEST(ThreadPool, SingleIterationRunsInline) {
+  // One block is never handed to a worker: it runs on the caller as slot 0,
+  // whether it holds one index or a whole range below the grain.
   ThreadPool pool(4);
-  int x = 0;
-  pool.parallel_for(1, [&](std::size_t) { ++x; });
-  EXPECT_EQ(x, 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const std::size_t n : {1u, 50u}) {
+    int calls = 0;
+    pool.parallel_for_blocked(
+        n, 64, [&](std::size_t, std::size_t, std::size_t slot) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          EXPECT_EQ(slot, 0u);
+          ++calls;
+        });
+    EXPECT_EQ(calls, 1) << "n=" << n;
+  }
 }
 
 TEST(ThreadPool, MoreIterationsThanThreads) {
   ThreadPool pool(2);
   std::atomic<int> count{0};
-  pool.parallel_for(1000, [&](std::size_t) { count.fetch_add(1); });
+  pool.parallel_for_blocked(1000, 1, [&](std::size_t lo, std::size_t hi,
+                                         std::size_t slot) {
+    EXPECT_LT(slot, 3u);
+    count.fetch_add(static_cast<int>(hi - lo));
+  });
   EXPECT_EQ(count.load(), 1000);
 }
 
 TEST(ThreadPool, FewerIterationsThanThreads) {
+  // Three blocks on eight workers: at most two helpers join the caller.
   ThreadPool pool(8);
-  std::atomic<int> count{0};
-  pool.parallel_for(3, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 3);
+  std::vector<std::atomic<int>> by_slot(pool.num_slots());
+  pool.parallel_for_blocked(3, 1, [&](std::size_t lo, std::size_t hi,
+                                      std::size_t slot) {
+    by_slot[slot].fetch_add(static_cast<int>(hi - lo));
+  });
+  int total = 0;
+  for (std::size_t slot = 0; slot < by_slot.size(); ++slot) {
+    total += by_slot[slot].load();
+    if (slot > 2) EXPECT_EQ(by_slot[slot].load(), 0) << "slot " << slot;
+  }
+  EXPECT_EQ(total, 3);
 }
 
 TEST(ThreadPool, ReusableAcrossCalls) {
   ThreadPool pool(3);
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> count{0};
-    pool.parallel_for(50, [&](std::size_t) { count.fetch_add(1); });
+    pool.parallel_for_blocked(50, 4, [&](std::size_t lo, std::size_t hi,
+                                         std::size_t) {
+      count.fetch_add(static_cast<int>(hi - lo));
+    });
     EXPECT_EQ(count.load(), 50);
   }
 }
 
-TEST(ThreadPool, ExceptionPropagates) {
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [](std::size_t i) {
-                                   if (i == 42) {
-                                     throw std::runtime_error("boom");
-                                   }
-                                 }),
-               std::runtime_error);
-  // The pool stays usable after an exception.
-  std::atomic<int> count{0};
-  pool.parallel_for(10, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 10);
-}
-
 TEST(ThreadPool, InlineExceptionPropagates) {
   ThreadPool pool(0);
-  EXPECT_THROW(
-      pool.parallel_for(5, [](std::size_t) { throw std::logic_error("x"); }),
-      std::logic_error);
+  int calls = 0;
+  EXPECT_THROW(pool.parallel_for_blocked(
+                   5, 1,
+                   [&](std::size_t, std::size_t, std::size_t) {
+                     ++calls;
+                     throw std::logic_error("x");
+                   }),
+               std::logic_error);
+  EXPECT_EQ(calls, 1);  // The first throw ends the inline loop.
 }
 
 TEST(ThreadPoolBlocked, CoversEveryIndexExactlyOnce) {
@@ -167,7 +179,8 @@ TEST(ThreadPool, ThreadIdsAreStable) {
   const auto before = pool.thread_ids();
   ASSERT_EQ(before.size(), 3u);
   for (int round = 0; round < 5; ++round) {
-    pool.parallel_for(100, [](std::size_t) {});
+    pool.parallel_for_blocked(100, 1,
+                              [](std::size_t, std::size_t, std::size_t) {});
   }
   EXPECT_EQ(pool.thread_ids(), before);
 }
@@ -176,8 +189,11 @@ TEST(ThreadPool, ParallelSumIsCorrect) {
   ThreadPool pool(4);
   constexpr std::size_t n = 10000;
   std::atomic<long long> sum{0};
-  pool.parallel_for(n, [&](std::size_t i) {
-    sum.fetch_add(static_cast<long long>(i));
+  pool.parallel_for_blocked(n, 16, [&](std::size_t lo, std::size_t hi,
+                                       std::size_t) {
+    for (std::size_t i = lo; i < hi; ++i) {
+      sum.fetch_add(static_cast<long long>(i));
+    }
   });
   EXPECT_EQ(sum.load(), static_cast<long long>(n) * (n - 1) / 2);
 }
