@@ -93,9 +93,11 @@ int main(int argc, char** argv) {
           seeds.push_back(std::move(ind));
         }
         ListScheduler sched(instance);
-        const FitnessFn fitness = [&sched](const Allocation& a, std::size_t) {
-          return sched.makespan(a);
-        };
+        FnBatchEvaluator evaluator(
+            [&sched](const Allocation& a, std::size_t) {
+              return sched.makespan(a);
+            },
+            0);
 
         MutationParams paper_params;  // a = 0.2, sigma = 5
         MutationParams symmetric = paper_params;
@@ -115,7 +117,7 @@ int main(int argc, char** argv) {
           cfg.lambda = 25;
           cfg.generations = U;
           cfg.seed = derive_seed(seed, i);
-          EvolutionStrategy es(cfg, fitness, mutate);
+          EvolutionStrategy es(cfg, evaluator, mutate);
           makespans[name] = es.run(seeds).best.fitness;
         }
         const double ref = makespans["paper"];

@@ -62,6 +62,8 @@ int main(int argc, char** argv) {
         }
         // All strategies draw fitness from one engine sharing one problem
         // core — the same table-backed hot path EMTS itself evaluates on.
+        // The ES drives it as its batch evaluator, the others through
+        // fitness_fn(); both are exact (no rejection bound, no memo).
         EvaluationEngine engine(instance);
         const FitnessFn fitness = engine.fitness_fn();
         const MutateFn mutate =
@@ -80,7 +82,7 @@ int main(int argc, char** argv) {
           cfg.lambda = 25;
           cfg.generations = std::max<std::size_t>(1, (budget - 5) / 25);
           cfg.seed = derive_seed(seed, i);
-          EvolutionStrategy es(cfg, fitness, mutate);
+          EvolutionStrategy es(cfg, engine, mutate);
           makespans["es"] = es.run(seeds).best.fitness;
         }
         LocalSearchConfig lcfg;

@@ -19,6 +19,28 @@
 
 using namespace ptgsched;
 
+namespace {
+
+/// Timed calls per (algorithm, instance); a row averages the per-instance
+/// medians.
+constexpr int kTimingReps = 5;
+
+/// Median wall seconds of kTimingReps calls of `call`, so one cold call or
+/// host hiccup cannot set an instance's time. Every call is deterministic
+/// and computes the same result.
+template <typename Call>
+double median_seconds(const Call& call) {
+  std::vector<double> seconds;
+  for (int r = 0; r < kTimingReps; ++r) {
+    WallTimer timer;
+    call();
+    seconds.push_back(timer.seconds());
+  }
+  return percentile(std::move(seconds), 50.0);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   CliParser cli("tab_heuristics",
                 "Compare every allocation algorithm on mapped makespan "
@@ -54,20 +76,21 @@ int main(int argc, char** argv) {
         ListScheduler mapper(instance);
 
         for (const char* h : kHeuristics) {
-          WallTimer timer;
-          const Allocation alloc = make_heuristic(h)->allocate(*instance);
-          const double m = mapper.makespan(alloc);
-          cost[h].add(timer.seconds());
+          double m = 0.0;
+          cost[h].add(median_seconds([&] {
+            const Allocation alloc = make_heuristic(h)->allocate(*instance);
+            m = mapper.makespan(alloc);
+          }));
           quality[h].add(m / lb.combined());
         }
         for (const bool big : {false, true}) {
           EmtsConfig cfg = big ? emts10_config() : emts5_config();
           cfg.seed = derive_seed(seed, i);
-          WallTimer timer;
-          const EmtsResult r = Emts(cfg).schedule(instance);
+          double m = 0.0;
           const std::string label = big ? "emts10" : "emts5";
-          cost[label].add(timer.seconds());
-          quality[label].add(r.makespan / lb.combined());
+          cost[label].add(median_seconds(
+              [&] { m = Emts(cfg).schedule(instance).makespan; }));
+          quality[label].add(m / lb.combined());
         }
       }
 
@@ -87,7 +110,10 @@ int main(int argc, char** argv) {
       add_row("emts5");
       add_row("emts10");
       std::fputs(render_table(table).c_str(), stdout);
-      std::puts("");
+      std::printf("# sched time: mean over instances of the median of %d "
+                  "timed calls (allocation + mapping; emts: the whole "
+                  "run)\n\n",
+                  kTimingReps);
     }
     return 0;
   } catch (const std::exception& e) {

@@ -184,7 +184,6 @@ std::span<const double> ProblemInstance::bottom_levels_avg() const {
       wbar[v] = sum / static_cast<double>(p_);
     }
     bl_avg_.assign(n, 0.0);
-    tl_avg_.assign(n, 0.0);
     for (std::size_t i = n; i-- > 0;) {
       const TaskId v = topo_[i];
       double best = 0.0;
@@ -193,30 +192,8 @@ std::span<const double> ProblemInstance::bottom_levels_avg() const {
       }
       bl_avg_[v] = wbar[v] + best;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      const TaskId v = topo_[i];
-      double best = 0.0;
-      for (std::uint32_t e = pred_off_[v]; e < pred_off_[v + 1]; ++e) {
-        const TaskId u = pred_adj_[e];
-        best = std::max(best, tl_avg_[u] + wbar[u] + cbar);
-      }
-      tl_avg_[v] = best;
-    }
-    avg_cp_ = bl_avg_.empty()
-                  ? 0.0
-                  : *std::max_element(bl_avg_.begin(), bl_avg_.end());
   });
   return bl_avg_;
-}
-
-std::span<const double> ProblemInstance::top_levels_avg() const {
-  (void)bottom_levels_avg();
-  return tl_avg_;
-}
-
-double ProblemInstance::avg_critical_path() const {
-  (void)bottom_levels_avg();
-  return avg_cp_;
 }
 
 std::span<const double> ProblemInstance::bottom_levels_seq() const {
@@ -226,22 +203,8 @@ std::span<const double> ProblemInstance::bottom_levels_seq() const {
       return table[v * static_cast<std::size_t>(p_)];
     };
     bottom_levels_into(*graph_, topo_, seq_time, bl_seq_);
-    tl_seq_ = top_levels(*graph_, seq_time);
-    seq_cp_ = bl_seq_.empty()
-                  ? 0.0
-                  : *std::max_element(bl_seq_.begin(), bl_seq_.end());
   });
   return bl_seq_;
-}
-
-std::span<const double> ProblemInstance::top_levels_seq() const {
-  (void)bottom_levels_seq();
-  return tl_seq_;
-}
-
-double ProblemInstance::sequential_critical_path() const {
-  (void)bottom_levels_seq();
-  return seq_cp_;
 }
 
 const ProblemInstance& ProblemInstance::warm() const {

@@ -11,8 +11,8 @@
 //   * the topological order and precedence levels of the graph,
 //   * the level grouping used by MCPA and the Delta-critical seed,
 //   * CSR successor/predecessor arrays and the source tasks, which the
-//     mapping kernel and the CPA sweep iterate,
-//   * bottom/top levels under the sequential (p = 1) execution times,
+//     mapping kernel reads in place and the CPA sweep iterates,
+//   * bottom levels under the sequential (p = 1) execution times,
 //   * a dense V x P execution-time table T[v][p] that turns the model's
 //     virtual dispatch into an array lookup on every hot path,
 //   * on heterogeneous clusters, the per-(task, processor) time table and
@@ -152,22 +152,15 @@ class ProblemInstance
   [[nodiscard]] double proc_time(TaskId v, int proc) const;
 
   // Average-speed ranks (built once on first use). ---------------------
-  // HEFT's rank_u / rank_d generalization of the bottom/top levels: task
-  // weights are the mean of the per-processor row, edge weights are the
-  // cluster's mean link cost. On homogeneous clusters they coincide with
-  // the sequential levels.
+  /// HEFT's rank_u generalization of the bottom levels: task weights are
+  /// the mean of the per-processor row, edge weights are the cluster's
+  /// mean link cost. On homogeneous clusters it coincides with the
+  /// sequential levels.
   [[nodiscard]] std::span<const double> bottom_levels_avg() const;
-  [[nodiscard]] std::span<const double> top_levels_avg() const;
-  /// Critical-path length under average speeds (max bottom_levels_avg).
-  [[nodiscard]] double avg_critical_path() const;
 
   // Sequential levels (built once on first use). -----------------------
   /// Bottom levels bl(v) under the all-ones allocation (T(v, 1) times).
   [[nodiscard]] std::span<const double> bottom_levels_seq() const;
-  /// Top levels tl(v) under the all-ones allocation.
-  [[nodiscard]] std::span<const double> top_levels_seq() const;
-  /// Critical-path length under the all-ones allocation (max bl_seq).
-  [[nodiscard]] double sequential_critical_path() const;
 
   /// Force-build every lazy block now (e.g. before handing the instance
   /// to worker threads, so no worker stalls on the one-time build).
@@ -200,12 +193,8 @@ class ProblemInstance
   mutable std::vector<double> proc_table_;  ///< Row-major V x P (hetero).
   mutable std::once_flag avg_once_;
   mutable std::vector<double> bl_avg_;
-  mutable std::vector<double> tl_avg_;
-  mutable double avg_cp_ = 0.0;
   mutable std::once_flag seq_once_;
   mutable std::vector<double> bl_seq_;
-  mutable std::vector<double> tl_seq_;
-  mutable double seq_cp_ = 0.0;
 };
 
 }  // namespace ptgsched

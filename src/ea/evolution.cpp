@@ -19,16 +19,10 @@ FnBatchEvaluator::FnBatchEvaluator(FitnessFn fitness, std::size_t threads)
 void FnBatchEvaluator::evaluate_batch(std::vector<Individual>& pool,
                                       std::size_t begin) {
   const std::size_t n = pool.size() - begin;
-  if (n == 0) return;
-  if (pool_.num_threads() == 0) {
-    for (std::size_t i = begin; i < pool.size(); ++i) {
-      pool[i].fitness = fitness_(pool[i].genes, 0);
-    }
-    return;
-  }
   // Small blocks rebalance imbalanced evaluations (e.g. rejection
   // bailouts) across the persistent workers; the slot stays a stable lane
-  // id so the fitness function may keep per-slot scratch.
+  // id so the fitness function may keep per-slot scratch. With no workers
+  // the pool runs every block inline on the caller as slot 0.
   const std::size_t grain =
       std::max<std::size_t>(1, n / (4 * pool_.num_slots()));
   pool_.parallel_for_blocked(
@@ -41,7 +35,7 @@ void FnBatchEvaluator::evaluate_batch(std::vector<Individual>& pool,
 
 EvolutionStrategy::EvolutionStrategy(EsConfig config, BatchEvaluator& evaluator,
                                      MutateFn mutate)
-    : config_(config), evaluator_(&evaluator), mutate_(std::move(mutate)) {
+    : config_(config), evaluator_(evaluator), mutate_(std::move(mutate)) {
   if (config_.mu == 0) throw std::invalid_argument("ES: mu == 0");
   if (config_.lambda == 0) throw std::invalid_argument("ES: lambda == 0");
   if (!config_.plus_selection && config_.lambda < config_.mu) {
@@ -50,22 +44,6 @@ EvolutionStrategy::EvolutionStrategy(EsConfig config, BatchEvaluator& evaluator,
   if (mutate_ == nullptr) {
     throw std::invalid_argument("ES: mutate must be callable");
   }
-}
-
-EvolutionStrategy::EvolutionStrategy(EsConfig config, FitnessFn fitness,
-                                     MutateFn mutate)
-    : config_(config), mutate_(std::move(mutate)) {
-  if (config_.mu == 0) throw std::invalid_argument("ES: mu == 0");
-  if (config_.lambda == 0) throw std::invalid_argument("ES: lambda == 0");
-  if (!config_.plus_selection && config_.lambda < config_.mu) {
-    throw std::invalid_argument("ES: comma selection requires lambda >= mu");
-  }
-  if (fitness == nullptr || mutate_ == nullptr) {
-    throw std::invalid_argument("ES: fitness and mutate must be callable");
-  }
-  owned_evaluator_ =
-      std::make_unique<FnBatchEvaluator>(std::move(fitness), config_.threads);
-  evaluator_ = owned_evaluator_.get();
 }
 
 void EvolutionStrategy::set_tracked_mutator(TrackedMutateFn mutate) {
@@ -83,7 +61,7 @@ void EvolutionStrategy::evaluate(std::vector<Individual>& pool,
                                  std::size_t begin, EsResult& result) {
   const std::size_t n = pool.size() - begin;
   if (n == 0) return;
-  evaluator_->evaluate_batch(pool, begin);
+  evaluator_.evaluate_batch(pool, begin);
   result.evaluations += n;
 }
 
@@ -136,12 +114,8 @@ EsResult EvolutionStrategy::run(const std::vector<Individual>& seeds) {
     gs.evaluations = result.evaluations;
     gs.elapsed_seconds = timer.seconds();
     result.history.push_back(gs);
-    evaluator_->on_selection(gen, population.front().fitness,
-                             population.back().fitness);
-    if (config_.on_generation) {
-      config_.on_generation(gen, population.front().fitness,
+    evaluator_.on_selection(gen, population.front().fitness,
                             population.back().fitness);
-    }
   };
   record(0);
 

@@ -3,9 +3,10 @@
 // genomes (Section III, Section V introduction).
 //
 // The framework is deliberately problem-agnostic: it sees a genome
-// (Allocation), a fitness function (lower is better; EMTS plugs in the
-// list-scheduler makespan), and a mutation operator. EMTS (src/emts) is a
-// thin specialization that supplies the paper's seeding and mutation.
+// (Allocation), a batch evaluator (lower fitness is better; EMTS plugs in
+// the EvaluationEngine, whose fitness is the list-scheduler makespan), and
+// a mutation operator. EMTS (src/emts) is a thin specialization that
+// supplies the paper's seeding and mutation.
 //
 // The paper uses the "Plus-Strategy", where the mu best of parents plus
 // offspring survive, so "the population can never become worse while the
@@ -15,7 +16,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -85,8 +85,10 @@ class BatchEvaluator {
 
 /// Adapts a plain FitnessFn to the BatchEvaluator interface, evaluating
 /// over a persistent thread pool (created once, reused every generation).
-/// `threads` counts evaluation lanes exactly like EsConfig::threads: the
-/// fitness function's `slot` argument is in [0, max(1, threads)).
+/// `threads` counts evaluation lanes: 0 evaluates inline on the calling
+/// thread, T > 0 uses T - 1 pool workers plus the caller. The fitness
+/// function's `slot` argument is in [0, max(1, threads)). Throws
+/// std::invalid_argument when `fitness` is empty.
 class FnBatchEvaluator final : public BatchEvaluator {
  public:
   FnBatchEvaluator(FitnessFn fitness, std::size_t threads);
@@ -114,16 +116,6 @@ struct EsConfig {
   /// the best fitness; 0 disables stagnation detection.
   std::size_t stagnation_limit = 0;
   std::uint64_t seed = 1;
-  /// Worker threads for fitness evaluation; 0 = evaluate inline.
-  std::size_t threads = 0;
-  /// Called after the initial selection and after every generation with
-  /// (generation index, best fitness, worst surviving fitness). No
-  /// evaluations are in flight during the call, so it may safely publish
-  /// an incumbent to the fitness function. EMTS's rejection strategy uses
-  /// the worst survivor: under plus selection an offspring worse than
-  /// every current parent can never be selected, so rejecting it does not
-  /// alter the evolution trajectory.
-  std::function<void(std::size_t, double, double)> on_generation;
   /// Cooperative cancellation (not owned; must outlive run()). Observed at
   /// generation boundaries and again right after each batch evaluation: a
   /// cancel seen mid-generation discards the possibly-torn offspring
@@ -159,15 +151,11 @@ struct EsResult {
 /// The evolution strategy engine.
 class EvolutionStrategy {
  public:
-  /// Drive an external batch evaluator (not owned; must outlive run()).
-  /// EsConfig::threads is ignored on this path — the evaluator owns its
-  /// parallelism.
+  /// Drive a batch evaluator (not owned; must outlive run()). The
+  /// evaluator owns its parallelism; a plain FitnessFn goes through
+  /// FnBatchEvaluator.
   EvolutionStrategy(EsConfig config, BatchEvaluator& evaluator,
                     MutateFn mutate);
-
-  /// Convenience: wrap a plain per-individual fitness function in an owned
-  /// FnBatchEvaluator running on config.threads evaluation lanes.
-  EvolutionStrategy(EsConfig config, FitnessFn fitness, MutateFn mutate);
 
   /// Replace the mutation operator with `mutate`, discarding what it
   /// reports into `touched`. Used by benchmark/src/recompose.cpp:169.
@@ -187,8 +175,7 @@ class EvolutionStrategy {
                 EsResult& result);
 
   EsConfig config_;
-  std::unique_ptr<FnBatchEvaluator> owned_evaluator_;  ///< FitnessFn path.
-  BatchEvaluator* evaluator_ = nullptr;  ///< Never null after construction.
+  BatchEvaluator& evaluator_;
   MutateFn mutate_;
 };
 

@@ -155,23 +155,18 @@ void EvaluationEngine::evaluate_batch(std::vector<Individual>& pool,
                            ? incumbent_.load(std::memory_order_relaxed)
                            : std::numeric_limits<double>::infinity();
 
-  const auto evaluate_child = [&](std::size_t i, std::size_t slot) {
-    Individual& child = pool[begin + i];
-    child.fitness = fitness_for(child.genes, slot, bound, true);
-  };
-  if (pool_.num_threads() == 0) {
-    for (std::size_t i = 0; i < n; ++i) evaluate_child(i, 0);
-  } else {
-    // Small blocks keep all workers busy even when rejection bails some
-    // evaluations out early; the slot pins each participant to its own
-    // ListScheduler scratch.
-    const std::size_t grain =
-        std::max<std::size_t>(1, n / (4 * pool_.num_slots()));
-    pool_.parallel_for_blocked(
-        n, grain, [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-          for (std::size_t i = lo; i < hi; ++i) evaluate_child(i, slot);
-        });
-  }
+  // Small blocks keep all workers busy even when rejection bails some
+  // evaluations out early; the slot pins each participant to its own
+  // ListScheduler scratch. With no workers every block runs inline on the
+  // caller as slot 0.
+  const std::size_t grain =
+      std::max<std::size_t>(1, n / (4 * pool_.num_slots()));
+  pool_.parallel_for_blocked(
+      n, grain, [&](std::size_t lo, std::size_t hi, std::size_t slot) {
+        for (std::size_t i = begin + lo; i < begin + hi; ++i) {
+          pool[i].fitness = fitness_for(pool[i].genes, slot, bound, true);
+        }
+      });
   batches_.fetch_add(1, std::memory_order_relaxed);
   eval_seconds_.fetch_add(timer.seconds(), std::memory_order_relaxed);
 }

@@ -90,18 +90,6 @@ std::vector<double> bottom_levels(const Ptg& g, const TaskTimeFn& time) {
   return out;
 }
 
-std::vector<double> top_levels(const Ptg& g, const TaskTimeFn& time) {
-  const auto topo = topological_order(g);
-  std::vector<double> out(g.num_tasks(), 0.0);
-  for (const TaskId v : topo) {
-    const double reach = out[v] + time(v);
-    for (const TaskId w : g.successors(v)) {
-      out[w] = std::max(out[w], reach);
-    }
-  }
-  return out;
-}
-
 double critical_path_length(const Ptg& g, const TaskTimeFn& time) {
   if (g.num_tasks() == 0) return 0.0;
   const auto bl = bottom_levels(g, time);

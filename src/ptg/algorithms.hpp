@@ -1,6 +1,6 @@
 #pragma once
-// Graph algorithms on PTGs: topological order, precedence levels, bottom and
-// top levels, and critical paths.
+// Graph algorithms on PTGs: topological order, precedence levels, bottom
+// levels, and critical paths.
 //
 // Bottom levels drive both the list scheduler's priority order (Section
 // III-A: "ready nodes are sorted by decreasing bottom level") and the
@@ -41,10 +41,6 @@ using TaskTimeFn = std::function<double(TaskId)>;
 /// execution time of v itself (footnote 1 of the paper).
 [[nodiscard]] std::vector<double> bottom_levels(const Ptg& g,
                                                 const TaskTimeFn& time);
-
-/// Top level tl(v): longest path from any source to v, *excluding* v.
-[[nodiscard]] std::vector<double> top_levels(const Ptg& g,
-                                             const TaskTimeFn& time);
 
 /// In-place variants writing into a caller-provided buffer (resized to V).
 /// `topo` must be a topological order of g. These avoid reallocation in the

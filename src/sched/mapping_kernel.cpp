@@ -5,37 +5,6 @@
 
 namespace ptgsched {
 
-template <typename Idx>
-void MappingKernel::State<Idx>::init(const ProblemInstance& pi) {
-  const std::size_t n = pi.num_tasks();
-  const auto narrow = [](TaskId v) { return static_cast<Idx>(v); };
-
-  topo.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    topo[i] = narrow(pi.topo_order()[i]);
-  }
-  succ_adj.resize(pi.succ_adjacency().size());
-  for (std::size_t e = 0; e < succ_adj.size(); ++e) {
-    succ_adj[e] = narrow(pi.succ_adjacency()[e]);
-  }
-  in_degree.resize(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    in_degree[v] =
-        static_cast<Idx>(pi.pred_offsets()[v + 1] - pi.pred_offsets()[v]);
-  }
-  sources.resize(pi.source_tasks().size());
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    sources[i] = narrow(pi.source_tasks()[i]);
-  }
-
-  // Scratch, sized once here so passes never allocate.
-  waiting.resize(n);
-  ready.reserve(n);
-}
-
-template struct MappingKernel::State<std::uint16_t>;
-template struct MappingKernel::State<std::uint32_t>;
-
 MappingKernel::MappingKernel(const ProblemInstance& instance,
                              std::vector<MappingLane> lanes)
     : lanes_(std::move(lanes)) {
@@ -43,7 +12,11 @@ MappingKernel::MappingKernel(const ProblemInstance& instance,
     throw std::invalid_argument("MappingKernel: no lanes");
   }
   n_ = instance.num_tasks();
-  succ_off_ = instance.succ_offsets().data();
+  topo_ = instance.topo_order();
+  succ_off_ = instance.succ_offsets();
+  succ_adj_ = instance.succ_adjacency();
+  pred_off_ = instance.pred_offsets();
+  sources_ = instance.source_tasks();
 
   lane_off_.assign(lanes_.size() + 1, 0);
   std::size_t max_procs = 0;
@@ -64,14 +37,11 @@ MappingKernel::MappingKernel(const ProblemInstance& instance,
   sorted_avail_.assign(slack_off_.back(), 0.0);
   proc_avail_.assign(lane_off_.back(), 0.0);
   proc_order_.reserve(max_procs);
+  // Per-pass scratch, sized once here so passes never allocate.
   bl_.assign(n_, 0.0);
   data_ready_.assign(n_, 0.0);
-
-  if (n_ <= UINT16_MAX) {
-    state_.emplace<State<std::uint16_t>>().init(instance);
-  } else {
-    state_.emplace<State<std::uint32_t>>().init(instance);
-  }
+  waiting_.assign(n_, 0);
+  ready_.reserve(n_);
 }
 
 void MappingKernel::occupy_placed(TaskId v, const Placement& p,

@@ -13,10 +13,10 @@
 //   * flat per-task arrays for bottom level, data-ready time and
 //     waiting-predecessor counts — no per-evaluation allocation, all
 //     scratch sized once at construction;
-//   * CSR successor iteration from the ProblemInstance's dense derived
-//     data, with adjacency ids narrowed to the smallest capable index type
-//     (State<uint16_t> for graphs up to 65535 tasks, State<uint32_t>
-//     beyond — selected once at construction);
+//   * CSR successor iteration read in place from the ProblemInstance's
+//     dense derived data (topological order, TaskId adjacency, predecessor
+//     offsets, sources): one index type at every graph size, no per-kernel
+//     copy;
 //   * a 4-ary max-heap for the ready queue (keys inline, half the tree
 //     depth of the std::push_heap binary heap it replaces);
 //   * per-lane processor availability kept as a *sorted* array of free
@@ -59,7 +59,6 @@
 #include <cstring>
 #include <limits>
 #include <span>
-#include <variant>
 #include <vector>
 
 #include "core/problem_instance.hpp"
@@ -90,7 +89,8 @@ class MappingKernel {
   };
 
   /// `instance` must outlive the kernel (the ListScheduler keeps it alive
-  /// through its shared_ptr); its graph is already validated, so every
+  /// through its shared_ptr): every pass reads its topological order, CSR
+  /// arrays and sources in place. Its graph is already validated, so every
   /// pass may assume acyclicity.
   MappingKernel(const ProblemInstance& instance,
                 std::vector<MappingLane> lanes);
@@ -119,16 +119,12 @@ class MappingKernel {
   double run(std::span<const double> priority_times,
              ProcessorSelection selection, double upper_bound, Schedule* out,
              const PlaceFn& place) {
-    return std::visit(
-        [&](auto& st) {
-          compute_bottom_levels(st, priority_times);
-          reset_dynamic_state(st, out != nullptr);
-          if (comm_ != nullptr) {
-            return drive<true>(st, selection, upper_bound, out, place);
-          }
-          return drive<false>(st, selection, upper_bound, out, place);
-        },
-        state_);
+    compute_bottom_levels(priority_times);
+    reset_dynamic_state(out != nullptr);
+    if (comm_ != nullptr) {
+      return drive<true>(selection, upper_bound, out, place);
+    }
+    return drive<false>(selection, upper_bound, out, place);
   }
 
   /// Install the heterogeneous communication context: `comm` is a
@@ -159,54 +155,32 @@ class MappingKernel {
   }
 
  private:
-  /// All Idx-typed data, instantiated for the smallest capable index type
-  /// (one of the two variant alternatives below; uint8 is not worth a
-  /// third instantiation). Static arrays are built once at construction;
-  /// the scratch below them is reset per pass.
-  template <typename Idx>
-  struct State {
-    std::vector<Idx> topo;      ///< Topological order.
-    std::vector<Idx> succ_adj;  ///< CSR targets (offsets on the instance).
-    std::vector<Idx> in_degree;
-    std::vector<Idx> sources;
-
-    struct ReadyEntry {
-      double bl;
-      Idx id;
-    };
-    struct ReadyBetter {
-      bool operator()(const ReadyEntry& a,
-                      const ReadyEntry& b) const noexcept {
-        // Strict total order (bottom level desc, id asc): the pop sequence
-        // is then independent of heap shape.
-        if (a.bl != b.bl) return a.bl > b.bl;
-        return a.id < b.id;
-      }
-    };
-
-    std::vector<Idx> waiting;  ///< Unfinished-predecessor counts.
-    DaryHeap<ReadyEntry, ReadyBetter> ready;
-
-    void init(const ProblemInstance& pi);
+  struct ReadyEntry {
+    double bl;
+    TaskId id;
+  };
+  struct ReadyBetter {
+    bool operator()(const ReadyEntry& a, const ReadyEntry& b) const noexcept {
+      // Strict total order (bottom level desc, id asc): the pop sequence
+      // is then independent of heap shape.
+      if (a.bl != b.bl) return a.bl > b.bl;
+      return a.id < b.id;
+    }
   };
 
-  template <typename Idx>
-  void compute_bottom_levels(State<Idx>& st,
-                             std::span<const double> priority_times) {
-    const std::uint32_t* off = succ_off_;
-    const Idx* adj = st.succ_adj.data();
+  void compute_bottom_levels(std::span<const double> priority_times) {
     for (std::size_t i = n_; i-- > 0;) {
-      const auto v = static_cast<std::size_t>(st.topo[i]);
+      const TaskId v = topo_[i];
       double best = 0.0;
-      for (std::uint32_t e = off[v]; e < off[v + 1]; ++e) {
-        best = std::max(best, bl_[static_cast<std::size_t>(adj[e])]);
+      for (std::uint32_t e = succ_off_[v], end = succ_off_[v + 1]; e < end;
+           ++e) {
+        best = std::max(best, bl_[succ_adj_[e]]);
       }
       bl_[v] = priority_times[v] + best;
     }
   }
 
-  template <typename Idx>
-  void reset_dynamic_state(State<Idx>& st, bool placement) {
+  void reset_dynamic_state(bool placement) {
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
       lane_head_[k] = 0;
       double* av = sorted_avail_.data() + slack_off_[k];
@@ -216,27 +190,27 @@ class MappingKernel {
       std::fill(proc_avail_.begin(), proc_avail_.end(), 0.0);
     }
     std::fill(data_ready_.begin(), data_ready_.end(), 0.0);
-    std::copy(st.in_degree.begin(), st.in_degree.end(), st.waiting.begin());
-    st.ready.clear();
-    for (const Idx s : st.sources) {
-      st.ready.push({bl_[static_cast<std::size_t>(s)], s});
+    for (std::size_t v = 0; v < n_; ++v) {
+      waiting_[v] = pred_off_[v + 1] - pred_off_[v];
     }
+    ready_.clear();
+    for (const TaskId s : sources_) ready_.push({bl_[s], s});
   }
 
   /// The main loop: pops the ready queue to completion. With kComm, each
   /// successor update charges the link cost from the popped task's lane to
   /// the successor's (the only point where the heterogeneous cost matrix
   /// enters).
-  template <bool kComm, typename Idx, typename PlaceFn>
-  double drive(State<Idx>& st, ProcessorSelection selection,
-               double upper_bound, Schedule* out, const PlaceFn& place) {
-    const std::uint32_t* soff = succ_off_;
-    const Idx* sadj = st.succ_adj.data();
+  template <bool kComm, typename PlaceFn>
+  double drive(ProcessorSelection selection, double upper_bound,
+               Schedule* out, const PlaceFn& place) {
+    const std::uint32_t* soff = succ_off_.data();
+    const TaskId* sadj = succ_adj_.data();
     std::size_t pops = 0;
     double makespan = 0.0;
-    while (!st.ready.empty()) {
-      const auto top = st.ready.pop();
-      const auto v = static_cast<TaskId>(top.id);
+    while (!ready_.empty()) {
+      const ReadyEntry top = ready_.pop();
+      const TaskId v = top.id;
       const Placement p = place(v, data_ready_[v]);
       if (p.finish > makespan) makespan = p.finish;
 
@@ -250,17 +224,15 @@ class MappingKernel {
       occupy(v, p, selection, out);
 
       ++pops;
-      for (std::uint32_t e = soff[v]; e < soff[v + 1]; ++e) {
-        const auto w = static_cast<std::size_t>(sadj[e]);
+      for (std::uint32_t e = soff[v], end = soff[v + 1]; e < end; ++e) {
+        const TaskId w = sadj[e];
         double arrive = p.finish;
         if constexpr (kComm) {
           arrive += comm_[p.lane * comm_stride_ +
                           static_cast<std::size_t>(task_lane_[w])];
         }
         if (arrive > data_ready_[w]) data_ready_[w] = arrive;
-        if (--st.waiting[w] == 0) {
-          st.ready.push({bl_[w], static_cast<Idx>(w)});
-        }
+        if (--waiting_[w] == 0) ready_.push({bl_[w], w});
       }
     }
     if (pops != n_) {
@@ -269,15 +241,12 @@ class MappingKernel {
     return makespan;
   }
 
-  /// Lanes wider than this use binary search in occupy_value; at cluster
-  /// scale (P <= a few hundred) the branch-free counting scan wins.
-  static constexpr std::size_t kLinearScanMaxProcs = 512;
-
   /// Number of entries of the ascending-sorted a[0 .. count) that are
   /// <= x — exactly `upper_bound(a, a + count, x) - a`, as a branch-free
   /// counting scan over the lane's processor-contiguous free times; the
   /// plain loop auto-vectorizes. Exact by sortedness: every element <= x
   /// precedes every element > x, so the count IS the partition point.
+  /// BestFit's rank at every lane width: O(P), like the memmove after it.
   static std::size_t count_leq(const double* a, std::size_t count,
                                double x) noexcept {
     std::size_t c = 0;
@@ -285,12 +254,6 @@ class MappingKernel {
       c += static_cast<std::size_t>(a[i] <= x);
     }
     return c;
-  }
-
-  static std::size_t sorted_rank(const double* a, std::size_t count,
-                                 double x) noexcept {
-    if (count <= kLinearScanMaxProcs) return count_leq(a, count, x);
-    return static_cast<std::size_t>(std::upper_bound(a, a + count, x) - a);
   }
 
   /// Value-path occupy: only the multiset of free times matters, and the
@@ -320,7 +283,7 @@ class MappingKernel {
     const std::size_t s = p.size;
     std::size_t hole = 0;  // First index of the s entries being replaced.
     if (selection == ProcessorSelection::BestFit) {
-      hole = sorted_rank(av, procs, p.start) - s;
+      hole = count_leq(av, procs, p.start) - s;
     }
     // New resting place of the s finish times among the survivors:
     // everything in [pos, procs) is > p.finish, av[pos - 1] <= p.finish —
@@ -373,7 +336,12 @@ class MappingKernel {
 
   std::vector<MappingLane> lanes_;
   std::size_t n_ = 0;
-  const std::uint32_t* succ_off_ = nullptr;  ///< Instance CSR offsets.
+  // The instance's structure, read in place (it outlives the kernel).
+  std::span<const TaskId> topo_;
+  std::span<const std::uint32_t> succ_off_;
+  std::span<const TaskId> succ_adj_;
+  std::span<const std::uint32_t> pred_off_;
+  std::span<const TaskId> sources_;
 
   /// Slack multiplier for the sliding availability windows: each lane owns
   /// kAvailSlackFactor x P doubles so occupy_value can advance the window
@@ -394,6 +362,8 @@ class MappingKernel {
   std::vector<int> proc_order_;     ///< Placement-path scratch.
   std::vector<double> bl_;
   std::vector<double> data_ready_;
+  std::vector<std::uint32_t> waiting_;  ///< Unfinished-predecessor counts.
+  DaryHeap<ReadyEntry, ReadyBetter> ready_;
   std::atomic<std::size_t> rejected_{0};
 
   /// Heterogeneous communication context (set_comm_context): row-major
@@ -403,8 +373,6 @@ class MappingKernel {
   const double* comm_ = nullptr;
   std::size_t comm_stride_ = 0;
   const int* task_lane_ = nullptr;
-
-  std::variant<State<std::uint16_t>, State<std::uint32_t>> state_;
 };
 
 }  // namespace ptgsched

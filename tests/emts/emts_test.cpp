@@ -285,13 +285,14 @@ TEST(Emts, TrackedMutatorDrawsIdenticalChildren) {
   es_cfg.seed = 5152;
   const auto run = [&](bool use_tracked) {
     ListScheduler sched(pi);
-    EvolutionStrategy es(
-        es_cfg,
+    FnBatchEvaluator fitness(
         [&sched](const Allocation& genes, std::size_t) {
           return sched.makespan(genes);
         },
-        Emts::make_mutator(params, fm, es_cfg.generations,
-                           c.num_processors()));
+        0);
+    EvolutionStrategy es(es_cfg, fitness,
+                         Emts::make_mutator(params, fm, es_cfg.generations,
+                                            c.num_processors()));
     if (use_tracked) {
       es.set_tracked_mutator(Emts::make_tracked_mutator(
           params, fm, es_cfg.generations, c.num_processors()));

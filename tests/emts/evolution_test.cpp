@@ -49,7 +49,8 @@ TEST(EvolutionStrategy, ConvergesOnToyProblem) {
   cfg.lambda = 20;
   cfg.generations = 60;
   cfg.seed = 1;
-  EvolutionStrategy es(cfg, sphere_fitness({5, 9, 2, 7}), step_mutator(10));
+  FnBatchEvaluator fitness(sphere_fitness({5, 9, 2, 7}), 0);
+  EvolutionStrategy es(cfg, fitness, step_mutator(10));
   const EsResult result = es.run({seed_of({1, 1, 1, 1})});
   EXPECT_LT(result.best.fitness, 5.0);
 }
@@ -62,7 +63,8 @@ TEST(EvolutionStrategy, PlusSelectionNeverWorsens) {
   cfg.lambda = 6;
   cfg.generations = 30;
   cfg.seed = 2;
-  EvolutionStrategy es(cfg, sphere_fitness({8, 8, 8}), step_mutator(10));
+  FnBatchEvaluator fitness(sphere_fitness({8, 8, 8}), 0);
+  EvolutionStrategy es(cfg, fitness, step_mutator(10));
   const EsResult result = es.run({seed_of({1, 2, 3})});
   double prev = std::numeric_limits<double>::infinity();
   for (const auto& gs : result.history) {
@@ -78,7 +80,8 @@ TEST(EvolutionStrategy, BestNeverWorseThanAnySeed) {
   cfg.generations = 5;
   cfg.seed = 3;
   const auto fitness = sphere_fitness({4, 4});
-  EvolutionStrategy es(cfg, fitness, step_mutator(8));
+  FnBatchEvaluator evaluator(fitness, 0);
+  EvolutionStrategy es(cfg, evaluator, step_mutator(8));
   const std::vector<Individual> seeds = {seed_of({1, 1}), seed_of({4, 5}),
                                          seed_of({8, 8})};
   const EsResult result = es.run(seeds);
@@ -94,7 +97,8 @@ TEST(EvolutionStrategy, DeterministicGivenSeed) {
   cfg.generations = 10;
   cfg.seed = 77;
   const auto run_once = [&] {
-    EvolutionStrategy es(cfg, sphere_fitness({6, 3, 9, 1}), step_mutator(10));
+    FnBatchEvaluator fitness(sphere_fitness({6, 3, 9, 1}), 0);
+    EvolutionStrategy es(cfg, fitness, step_mutator(10));
     return es.run({seed_of({5, 5, 5, 5})});
   };
   const EsResult a = run_once();
@@ -110,9 +114,10 @@ TEST(EvolutionStrategy, SeedChangesTrajectory) {
   cfg.lambda = 10;
   cfg.generations = 3;
   cfg.seed = 1;
-  EvolutionStrategy es1(cfg, sphere_fitness({6, 3, 9, 1}), step_mutator(10));
+  FnBatchEvaluator fitness(sphere_fitness({6, 3, 9, 1}), 0);
+  EvolutionStrategy es1(cfg, fitness, step_mutator(10));
   cfg.seed = 2;
-  EvolutionStrategy es2(cfg, sphere_fitness({6, 3, 9, 1}), step_mutator(10));
+  EvolutionStrategy es2(cfg, fitness, step_mutator(10));
   const EsResult a = es1.run({seed_of({5, 5, 5, 5})});
   const EsResult b = es2.run({seed_of({5, 5, 5, 5})});
   // Different RNG seeds explore differently (genes or history differ).
@@ -126,7 +131,8 @@ TEST(EvolutionStrategy, EvaluationCountIsExact) {
   cfg.lambda = 25;
   cfg.generations = 5;
   cfg.seed = 5;
-  EvolutionStrategy es(cfg, sphere_fitness({3, 3}), step_mutator(6));
+  FnBatchEvaluator fitness(sphere_fitness({3, 3}), 0);
+  EvolutionStrategy es(cfg, fitness, step_mutator(6));
   // 1 seed -> filled to mu = 5 initial evaluations, then 5 * 25 offspring.
   const EsResult result = es.run({seed_of({1, 1})});
   EXPECT_EQ(result.evaluations, 5u + 5u * 25u);
@@ -140,7 +146,7 @@ TEST(EvolutionStrategy, SurplusSeedsCompeteInFirstSelection) {
   cfg.lambda = 4;
   cfg.generations = 1;
   cfg.seed = 6;
-  const auto fitness = sphere_fitness({9, 9});
+  FnBatchEvaluator fitness(sphere_fitness({9, 9}), 0);
   EvolutionStrategy es(cfg, fitness, step_mutator(10));
   // Three seeds, mu = 2: the best two must survive; the best seed is
   // {9, 9} with fitness 0 and must be the final best.
@@ -156,7 +162,8 @@ TEST(EvolutionStrategy, CommaSelectionAllowedToWorsen) {
   cfg.generations = 2;
   cfg.plus_selection = false;
   cfg.seed = 7;
-  EvolutionStrategy es(cfg, sphere_fitness({5, 5}), step_mutator(10));
+  FnBatchEvaluator fitness(sphere_fitness({5, 5}), 0);
+  EvolutionStrategy es(cfg, fitness, step_mutator(10));
   // Runs without error; history exists. (Worsening is possible, not
   // guaranteed, so only the mechanics are asserted.)
   const EsResult result = es.run({seed_of({5, 5})});
@@ -168,7 +175,8 @@ TEST(EvolutionStrategy, CommaRequiresLambdaGeMu) {
   cfg.mu = 10;
   cfg.lambda = 5;
   cfg.plus_selection = false;
-  EXPECT_THROW(EvolutionStrategy(cfg, sphere_fitness({1}), step_mutator(2)),
+  FnBatchEvaluator fitness(sphere_fitness({1}), 0);
+  EXPECT_THROW(EvolutionStrategy(cfg, fitness, step_mutator(2)),
                std::invalid_argument);
 }
 
@@ -180,7 +188,8 @@ TEST(EvolutionStrategy, StagnationStopsEarly) {
   cfg.stagnation_limit = 3;
   cfg.seed = 8;
   // Fitness already optimal: no improvement is possible.
-  EvolutionStrategy es(cfg, sphere_fitness({1, 1}), step_mutator(1));
+  FnBatchEvaluator fitness(sphere_fitness({1, 1}), 0);
+  EvolutionStrategy es(cfg, fitness, step_mutator(1));
   const EsResult result = es.run({seed_of({1, 1})});
   EXPECT_TRUE(result.stopped_by_stagnation);
   EXPECT_LT(result.generations_run, 100u);
@@ -193,7 +202,8 @@ TEST(EvolutionStrategy, TimeBudgetStops) {
   cfg.generations = 1000000;  // would run "forever"
   cfg.time_budget_seconds = 0.05;
   cfg.seed = 9;
-  EvolutionStrategy es(cfg, sphere_fitness({3, 3}), step_mutator(5));
+  FnBatchEvaluator fitness(sphere_fitness({3, 3}), 0);
+  EvolutionStrategy es(cfg, fitness, step_mutator(5));
   const EsResult result = es.run({seed_of({1, 1})});
   EXPECT_TRUE(result.stopped_by_time_budget);
   EXPECT_LT(result.elapsed_seconds, 5.0);
@@ -205,9 +215,10 @@ TEST(EvolutionStrategy, ParallelEvaluationMatchesSerial) {
   cfg.lambda = 16;
   cfg.generations = 8;
   cfg.seed = 10;
-  EvolutionStrategy serial(cfg, sphere_fitness({7, 2, 5}), step_mutator(9));
-  cfg.threads = 4;
-  EvolutionStrategy parallel(cfg, sphere_fitness({7, 2, 5}), step_mutator(9));
+  FnBatchEvaluator serial_fitness(sphere_fitness({7, 2, 5}), 0);
+  EvolutionStrategy serial(cfg, serial_fitness, step_mutator(9));
+  FnBatchEvaluator parallel_fitness(sphere_fitness({7, 2, 5}), 4);
+  EvolutionStrategy parallel(cfg, parallel_fitness, step_mutator(9));
   const EsResult a = serial.run({seed_of({1, 1, 1})});
   const EsResult b = parallel.run({seed_of({1, 1, 1})});
   EXPECT_EQ(a.best.genes, b.best.genes);
@@ -301,18 +312,20 @@ TEST(EvolutionStrategy, BatchEvaluatorSelectionCheckpoints) {
 }
 
 TEST(EvolutionStrategy, RejectsBadConfigAndInput) {
+  FnBatchEvaluator fitness(sphere_fitness({1}), 0);
   EsConfig cfg;
   cfg.mu = 0;
-  EXPECT_THROW(EvolutionStrategy(cfg, sphere_fitness({1}), step_mutator(2)),
+  EXPECT_THROW(EvolutionStrategy(cfg, fitness, step_mutator(2)),
                std::invalid_argument);
   cfg = EsConfig{};
   cfg.lambda = 0;
-  EXPECT_THROW(EvolutionStrategy(cfg, sphere_fitness({1}), step_mutator(2)),
+  EXPECT_THROW(EvolutionStrategy(cfg, fitness, step_mutator(2)),
                std::invalid_argument);
   cfg = EsConfig{};
-  EXPECT_THROW(EvolutionStrategy(cfg, nullptr, step_mutator(2)),
+  EXPECT_THROW(FnBatchEvaluator(nullptr, 0), std::invalid_argument);
+  EXPECT_THROW(EvolutionStrategy(cfg, fitness, nullptr),
                std::invalid_argument);
-  EvolutionStrategy ok(cfg, sphere_fitness({1}), step_mutator(2));
+  EvolutionStrategy ok(cfg, fitness, step_mutator(2));
   EXPECT_THROW((void)ok.run({}), std::invalid_argument);
   EXPECT_THROW((void)ok.run({seed_of({})}), std::invalid_argument);
 }
@@ -323,7 +336,8 @@ TEST(EvolutionStrategy, HistoryStatisticsConsistent) {
   cfg.lambda = 10;
   cfg.generations = 4;
   cfg.seed = 11;
-  EvolutionStrategy es(cfg, sphere_fitness({5, 5}), step_mutator(10));
+  FnBatchEvaluator fitness(sphere_fitness({5, 5}), 0);
+  EvolutionStrategy es(cfg, fitness, step_mutator(10));
   const EsResult result = es.run({seed_of({2, 2})});
   for (const auto& gs : result.history) {
     EXPECT_LE(gs.best, gs.mean);

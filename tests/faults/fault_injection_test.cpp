@@ -106,13 +106,26 @@ TEST(FaultInjection, CancelMidGenerationDrainsPoolAndKeepsBestSoFar) {
   ec.threads = 4;
   ec.cancel = &cancel;
   EvaluationEngine engine(make_instance(fx.g, fx.model, fx.cluster), {}, ec);
+  // Forwards to the engine and trips the token at generation 2's
+  // selection checkpoint, so the next batch starts cancelled.
+  struct CancelAtGenerationTwo final : BatchEvaluator {
+    EvaluationEngine& engine;
+    CancellationToken& cancel;
+    CancelAtGenerationTwo(EvaluationEngine& e, CancellationToken& c)
+        : engine(e), cancel(c) {}
+    void evaluate_batch(std::vector<Individual>& pool,
+                        std::size_t begin) override {
+      engine.evaluate_batch(pool, begin);
+    }
+    void on_selection(std::size_t gen, double best, double worst) override {
+      engine.on_selection(gen, best, worst);
+      if (gen == 2) cancel.request_cancel();
+    }
+  } evaluator(engine, cancel);
   EsConfig cfg = fx.es_cfg;
   cfg.generations = 50;
   cfg.cancel = &cancel;
-  cfg.on_generation = [&](std::size_t gen, double, double) {
-    if (gen == 2) cancel.request_cancel();
-  };
-  EvolutionStrategy es(cfg, engine, fx.mutate);
+  EvolutionStrategy es(cfg, evaluator, fx.mutate);
   const EsResult r = es.run(fx.seeds);
   EXPECT_TRUE(r.stopped_by_cancellation);
   EXPECT_LT(r.generations_run, cfg.generations);

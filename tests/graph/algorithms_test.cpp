@@ -1,5 +1,5 @@
-// Tests for graph algorithms: topological order, levels, bottom/top
-// levels, critical path.
+// Tests for graph algorithms: topological order, levels, bottom levels,
+// critical path.
 
 #include "ptg/algorithms.hpp"
 
@@ -95,29 +95,6 @@ TEST(BottomLevels, TakesMaxOverSuccessors) {
   EXPECT_DOUBLE_EQ(bl[1], 5.0);
   EXPECT_DOUBLE_EQ(bl[2], 3.0);
   EXPECT_DOUBLE_EQ(bl[0], 6.0);  // via the left branch
-}
-
-TEST(TopLevels, ExcludesOwnTime) {
-  const Ptg g = testutil::diamond();
-  const auto tl = top_levels(g, flops_time(g));
-  EXPECT_DOUBLE_EQ(tl[0], 0.0);
-  EXPECT_DOUBLE_EQ(tl[1], 1.0);
-  EXPECT_DOUBLE_EQ(tl[2], 1.0);
-  EXPECT_DOUBLE_EQ(tl[3], 5.0);  // 1 + 4
-}
-
-TEST(TopBottomLevels, SumIsPathLengthOnCriticalPath) {
-  const Ptg g = testutil::diamond();
-  const auto bl = bottom_levels(g, flops_time(g));
-  const auto tl = top_levels(g, flops_time(g));
-  const double cp = critical_path_length(g, flops_time(g));
-  for (TaskId v = 0; v < g.num_tasks(); ++v) {
-    EXPECT_LE(tl[v] + bl[v], cp + 1e-12);
-  }
-  // Critical tasks achieve equality: 0, 1, 3.
-  EXPECT_DOUBLE_EQ(tl[0] + bl[0], cp);
-  EXPECT_DOUBLE_EQ(tl[1] + bl[1], cp);
-  EXPECT_DOUBLE_EQ(tl[3] + bl[3], cp);
 }
 
 TEST(CriticalPath, LengthAndPath) {

@@ -1,10 +1,11 @@
 // Tests for the shared MappingKernel: the full pass must match the
 // preserved ReferenceMapper oracle bit for bit (value, schedule and
-// rejection count) on every corpus class, single- and multi-cluster
-// schedulers must agree on a one-cluster platform (they run the same
-// engine), the value and placement paths must report bit-identical
-// makespans for both processor-selection policies, and the rejection
-// counter must support exact reset semantics.
+// rejection count) on every corpus class and on a graph of more than
+// 65,536 tasks, single- and multi-cluster schedulers must agree on a
+// one-cluster platform (they run the same engine), the value and
+// placement paths must report bit-identical makespans for both
+// processor-selection policies, and the rejection counter must support
+// exact reset semantics.
 
 #include "sched/mapping_kernel.hpp"
 
@@ -27,6 +28,7 @@ namespace ptgsched {
 namespace {
 
 using testutil::FixedTimeModel;
+using testutil::LinearSpeedupModel;
 using testutil::make_instance;
 using testutil::unit_cluster;
 
@@ -38,16 +40,39 @@ Allocation random_allocation(const Ptg& g, int max_size, Rng& rng) {
   return alloc;
 }
 
+/// Layers of `width` tasks; every task below the first layer depends on
+/// one or two random tasks of the layer above. Small integer flops and a
+/// perfectly scalable model leave many equal bottom levels, so the id
+/// tie-break is exercised across the whole id range.
+Ptg layered_graph(std::size_t layers, std::size_t width, Rng& rng) {
+  Ptg g("layered-" + std::to_string(layers * width));
+  for (std::size_t l = 0; l < layers; ++l) {
+    for (std::size_t i = 0; i < width; ++i) {
+      const TaskId v = g.add_task(testutil::simple_task(
+          "t", static_cast<double>(rng.uniform_int(1, 8))));
+      if (l == 0) continue;
+      const auto above = static_cast<TaskId>((l - 1) * width);
+      const auto a = static_cast<TaskId>(rng.index(width));
+      const auto b = static_cast<TaskId>(rng.index(width));
+      g.add_edge(above + a, v);
+      if (b != a && rng.index(2) == 0) g.add_edge(above + b, v);
+    }
+  }
+  return g;
+}
+
 /// The full pass against the ReferenceMapper oracle on random
 /// allocations: value, bounded runs below, at and above the exact value
-/// (so the rejection decision and count too), and per-task placements.
+/// (so the rejection decision and count too), and per-task placements,
+/// which must also form a valid schedule.
 void expect_oracle_agreement(
     const std::shared_ptr<const ProblemInstance>& pi,
-    ListSchedulerOptions opts, Rng& rng, const std::string& label) {
+    ListSchedulerOptions opts, Rng& rng, const std::string& label,
+    int trials = 8) {
   ListScheduler sched(pi, opts);
   ReferenceMapper oracle(pi, opts);
   const int P = pi->num_processors();
-  for (int trial = 0; trial < 8; ++trial) {
+  for (int trial = 0; trial < trials; ++trial) {
     const Allocation alloc = random_allocation(pi->graph(), P, rng);
     const double want = oracle.makespan(alloc);
     ASSERT_EQ(want, sched.makespan(alloc)) << label;
@@ -64,6 +89,8 @@ void expect_oracle_agreement(
       ASSERT_EQ(t.finish, h.finish) << label << " task " << t.task;
       ASSERT_EQ(t.processors, h.processors) << label << " task " << t.task;
     }
+    validate_schedule(placed, pi->graph(), alloc, pi->model(),
+                      pi->cluster());
   }
   EXPECT_EQ(oracle.rejected_count(), sched.rejected_count()) << label;
   EXPECT_GT(sched.rejected_count(), 0u) << label;
@@ -92,6 +119,21 @@ TEST(MappingKernel, FullPassMatchesReferenceMapperOracle) {
     Rng rng(derive_seed(45, static_cast<std::uint64_t>(policy)));
     expect_oracle_agreement(make_instance(ties, fixed, unit), opts,
                             rng, "fork-join ties");
+  }
+}
+
+TEST(MappingKernel, LargeGraphMatchesOracle) {
+  // Past the 65,535-task boundary where a 16-bit task index would wrap.
+  Rng graph_rng(46);
+  const auto pi = make_instance(layered_graph(720, 100, graph_rng),
+                                LinearSpeedupModel{}, unit_cluster(6));
+  ASSERT_GT(pi->num_tasks(), 65536u);
+  for (const ProcessorSelection policy :
+       {ProcessorSelection::EarliestAvailable, ProcessorSelection::BestFit}) {
+    ListSchedulerOptions opts;
+    opts.selection = policy;
+    Rng rng(derive_seed(47, static_cast<std::uint64_t>(policy)));
+    expect_oracle_agreement(pi, opts, rng, "layered-72000", 1);
   }
 }
 
