@@ -9,7 +9,6 @@
 #include "exp/robustness.hpp"
 #include "sched/lower_bounds.hpp"
 #include "support/atomic_io.hpp"
-#include "support/backoff.hpp"
 #include "support/error_context.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -196,6 +195,25 @@ std::map<std::string, Json> load_checkpoint(const std::string& path,
   return units;
 }
 
+/// Durably append one `{"<kind>": entry}` line: the "campaign" header, a
+/// "unit" or a "failure". A campaign without an output dir keeps no
+/// journal.
+void journal_append(AppendJournal* journal, const char* kind, Json entry) {
+  if (journal == nullptr) return;
+  journal->append_line(Json(JsonObject{{kind, std::move(entry)}}).dump(0));
+}
+
+/// EMTS/trace seed of one gap or robustness unit attempt: attempt 0 is the
+/// historical derivation, retries salt the stream.
+std::uint64_t attempt_seed(std::uint64_t base, std::uint64_t salt,
+                           std::size_t index, int attempt) {
+  return derive_seed(
+      base,
+      attempt == 0 ? salt
+                   : salt ^ splitmix64(static_cast<std::uint64_t>(attempt)),
+      index);
+}
+
 }  // namespace
 
 Json run_campaign(const CampaignConfig& config,
@@ -228,9 +246,7 @@ Json run_campaign(const CampaignConfig& config,
       journal = std::make_unique<AppendJournal>(ckpt_path);
     } else {
       journal = std::make_unique<AppendJournal>(ckpt_path, /*truncate=*/true);
-      Json header = Json::object();
-      header.set("campaign", fingerprint);
-      journal->append_line(header.dump(0));
+      journal_append(journal.get(), "campaign", fingerprint);
     }
   }
 
@@ -256,8 +272,8 @@ Json run_campaign(const CampaignConfig& config,
     };
   };
 
-  // Fault-tolerance hooks shared by the comparison phases; `phase` keys
-  // the checkpoint journal entries.
+  // Unit-isolation hooks shared by every phase; `phase` keys the
+  // checkpoint journal entries and failure records.
   const auto make_hooks = [&](const std::string& phase) {
     ComparisonHooks hooks;
     hooks.cancel = config.cancel;
@@ -273,78 +289,58 @@ Json run_campaign(const CampaignConfig& config,
       return instance_result_from_json(it->second);
     };
     hooks.on_unit = [&journal, phase](const InstanceResult& ir) {
-      if (!journal) return;
-      Json unit = Json::object();
-      unit.set("phase", phase);
-      unit.set("result", instance_result_to_json(ir));
-      Json line = Json::object();
-      line.set("unit", std::move(unit));
-      journal->append_line(line.dump(0));
+      journal_append(journal.get(), "unit",
+                     JsonObject{{"phase", phase},
+                                {"result", instance_result_to_json(ir)}});
     };
     hooks.on_failure = [&failures, &journal, phase](const UnitFailure& f) {
       Json fj = unit_failure_to_json(f);
       fj.set("phase", phase);
-      if (journal) {
-        Json line = Json::object();
-        line.set("failure", fj);
-        journal->append_line(line.dump(0));
-      }
+      journal_append(journal.get(), "failure", fj);
       failures.push_back(std::move(fj));
     };
     return hooks;
   };
 
-  // Phase 1: Figure 4 (Model 1, EMTS5).
-  {
+  // Phases 1-2: Figure 4 (Model 1, EMTS5), Figure 5 (Model 2, EMTS5 and
+  // optionally EMTS10) and the Section V-B runtimes. Each row's instances
+  // go to `<report_key>_instances.csv`.
+  struct ComparisonPhase {
+    const char* progress_label;
+    const char* journal_phase;
+    const char* model;
+    bool emts10;  ///< EMTS10 instead of EMTS5; runs only with include_emts10.
+    const char* report_key;
+    const char* runtime_key;  ///< nullptr: no runtime section.
+  };
+  static constexpr ComparisonPhase kComparisonPhases[] = {
+      {"fig4", "fig4", "model1", false, "fig4_model1_emts5", nullptr},
+      {"fig5/emts5", "fig5_emts5", "model2", false, "fig5_model2_emts5",
+       "runtime_emts5_model2"},
+      {"fig5/emts10", "fig5_emts10", "model2", true, "fig5_model2_emts10",
+       "runtime_emts10_model2"},
+  };
+  for (const ComparisonPhase& phase : kComparisonPhases) {
+    if (phase.emts10 && !config.include_emts10) continue;
     ComparisonConfig cfg = base_config(config);
-    cfg.model = "model1";
-    cfg.emts = emts5_config();
+    cfg.model = phase.model;
+    cfg.emts = phase.emts10 ? emts10_config() : emts5_config();
     cfg.emts.threads = config.threads;
-    cfg.emts_label = "emts5";
+    cfg.emts_label = phase.emts10 ? "emts10" : "emts5";
     const ComparisonResult r =
-        run_comparison(cfg, wrap_progress("fig4"), make_hooks("fig4"));
+        run_comparison(cfg, wrap_progress(phase.progress_label),
+                       make_hooks(phase.journal_phase));
     cancelled = cancelled || r.cancelled;
-    report.set("fig4_model1_emts5", cells_to_json(r.cells));
+    report.set(phase.report_key, cells_to_json(r.cells));
+    if (phase.runtime_key != nullptr) {
+      report.set(phase.runtime_key, runtime_to_json(r));
+    }
     if (has_dir) {
-      write_instances_csv(
-          r, (std::filesystem::path(config.output_dir) /
-              "fig4_model1_emts5_instances.csv").string());
+      write_instances_csv(r, (std::filesystem::path(config.output_dir) /
+                              (std::string(phase.report_key) +
+                               "_instances.csv")).string());
     }
-  }
-
-  // Phase 2: Figure 5 (Model 2, EMTS5 + EMTS10) and runtimes.
-  if (!cancelled && !cancel_requested()) {
-    ComparisonConfig cfg = base_config(config);
-    cfg.model = "model2";
-    cfg.emts = emts5_config();
-    cfg.emts.threads = config.threads;
-    cfg.emts_label = "emts5";
-    const ComparisonResult r5 = run_comparison(
-        cfg, wrap_progress("fig5/emts5"), make_hooks("fig5_emts5"));
-    cancelled = cancelled || r5.cancelled;
-    report.set("fig5_model2_emts5", cells_to_json(r5.cells));
-    report.set("runtime_emts5_model2", runtime_to_json(r5));
-    if (has_dir) {
-      write_instances_csv(
-          r5, (std::filesystem::path(config.output_dir) /
-               "fig5_model2_emts5_instances.csv").string());
-    }
-
-    if (config.include_emts10 && !cancelled && !cancel_requested()) {
-      cfg.emts = emts10_config();
-      cfg.emts.threads = config.threads;
-      cfg.emts_label = "emts10";
-      const ComparisonResult r10 = run_comparison(
-          cfg, wrap_progress("fig5/emts10"), make_hooks("fig5_emts10"));
-      cancelled = cancelled || r10.cancelled;
-      report.set("fig5_model2_emts10", cells_to_json(r10.cells));
-      report.set("runtime_emts10_model2", runtime_to_json(r10));
-      if (has_dir) {
-        write_instances_csv(
-            r10, (std::filesystem::path(config.output_dir) /
-                  "fig5_model2_emts10_instances.csv").string());
-      }
-    }
+    if (cancelled || cancel_requested()) break;
   }
 
   // Phase 3: optimality gaps vs the makespan lower bounds (Model 2,
@@ -356,6 +352,7 @@ Json run_campaign(const CampaignConfig& config,
     const std::size_t count = config.instances > 0 ? config.instances : 24;
     const auto graphs =
         irregular_corpus(config.num_tasks, count, config.seed);
+    const ComparisonHooks hooks = make_hooks("gap");
     RunningStats gaps;
     for (std::size_t i = 0; i < graphs.size(); ++i) {
       if (cancel_requested()) {
@@ -370,90 +367,44 @@ Json run_campaign(const CampaignConfig& config,
         continue;
       }
 
-      bool completed = false;
-      UnitFailure failure;
-      failure.cls = "irregular";
-      failure.platform = "grelon";
-      failure.index = i;
-      for (int attempt = 0; attempt <= config.max_retries; ++attempt) {
-        try {
-          EmtsConfig ecfg = emts5_config();
-          // Attempt 0 reproduces the historical gap seed exactly; retries
-          // salt the stream.
-          ecfg.seed =
-              attempt == 0
-                  ? derive_seed(config.seed, 0xCA4Bull, i)
-                  : derive_seed(config.seed,
-                                0xCA4Bull ^ splitmix64(
-                                    static_cast<std::uint64_t>(attempt)),
-                                i);
-          ecfg.threads = config.threads;
-          ecfg.cancel = config.cancel;
-          if (config.unit_deadline_seconds > 0.0) {
-            ecfg.time_budget_seconds = config.unit_deadline_seconds;
-          }
-          // One shared problem core per gap unit: EMTS and the lower
-          // bounds below read the same precomputed tables.
-          const auto instance = ProblemInstance::create(
-              std::make_shared<const Ptg>(graphs[i]), model, cluster);
-          const EmtsResult r = Emts(ecfg).schedule(instance);
-          if (r.cancelled) {
-            throw CancelledError(
-                "gap unit cancelled mid-run (#" + std::to_string(i) + ")",
-                config.cancel != nullptr ? config.cancel->reason()
-                                         : CancelReason::kNone);
-          }
-          const MakespanLowerBounds lb =
-              makespan_lower_bounds(graphs[i], *model, *cluster);
-          const double gap = r.makespan / lb.combined();
-          gaps.add(gap);
-          if (journal) {
-            Json unit = Json::object();
-            unit.set("phase", "gap");
-            unit.set("class", "irregular");
-            unit.set("platform", "grelon");
-            unit.set("index", static_cast<std::int64_t>(i));
-            unit.set("gap", gap);
-            Json line = Json::object();
-            line.set("unit", std::move(unit));
-            journal->append_line(line.dump(0));
-          }
-          completed = true;
-          break;
-        } catch (const std::exception& e) {
-          failure.kind = classify_unit_error(e);
-          failure.message = e.what();
-          failure.attempts = attempt + 1;
-          if (failure.kind == UnitErrorKind::kInputError ||
-              failure.kind == UnitErrorKind::kCancelled) {
-            break;
-          }
-          if (attempt < config.max_retries) {
-            const double delay = backoff_delay_seconds(
-                attempt + 1, config.retry_backoff_seconds,
-                config.unit_deadline_seconds,
-                derive_seed(config.seed, 0xCA4Bull, i));
-            if (!backoff_sleep(delay, config.cancel)) {
-              failure.kind = UnitErrorKind::kCancelled;
-              failure.message = "cancelled while backing off before retry";
-              break;
+      UnitFailure failure{.cls = "irregular", .platform = "grelon", .index = i};
+      double gap = 0.0;
+      const bool completed = run_unit_attempts(
+          hooks, attempt_seed(config.seed, 0xCA4Bull, i, 0), failure,
+          [&](int attempt) {
+            EmtsConfig ecfg = emts5_config();
+            ecfg.seed = attempt_seed(config.seed, 0xCA4Bull, i, attempt);
+            ecfg.threads = config.threads;
+            ecfg.cancel = config.cancel;
+            if (config.unit_deadline_seconds > 0.0) {
+              ecfg.time_budget_seconds = config.unit_deadline_seconds;
             }
-          }
-        }
-      }
-      if (!completed) {
-        Json fj = unit_failure_to_json(failure);
-        fj.set("phase", "gap");
-        if (journal) {
-          Json line = Json::object();
-          line.set("failure", fj);
-          journal->append_line(line.dump(0));
-        }
-        failures.push_back(std::move(fj));
-        if (failure.kind == UnitErrorKind::kCancelled) {
-          cancelled = true;
-          break;
-        }
+            // One shared problem core per gap unit: EMTS and the lower
+            // bounds below read the same precomputed tables.
+            const auto instance = ProblemInstance::create(
+                std::make_shared<const Ptg>(graphs[i]), model, cluster);
+            const EmtsResult r = Emts(ecfg).schedule(instance);
+            if (r.cancelled) {
+              throw CancelledError(
+                  "gap unit cancelled mid-run (#" + std::to_string(i) + ")",
+                  config.cancel != nullptr ? config.cancel->reason()
+                                           : CancelReason::kNone);
+            }
+            const MakespanLowerBounds lb =
+                makespan_lower_bounds(graphs[i], *model, *cluster);
+            gap = r.makespan / lb.combined();
+          });
+      if (completed) {
+        journal_append(journal.get(), "unit",
+                       JsonObject{{"phase", "gap"},
+                                  {"class", "irregular"},
+                                  {"platform", "grelon"},
+                                  {"index", static_cast<std::int64_t>(i)},
+                                  {"gap", gap}});
+        gaps.add(gap);
+      } else if (failure.kind == UnitErrorKind::kCancelled) {
+        cancelled = true;
+        break;
       }
       if (progress) progress("gap", i + 1, graphs.size());
     }
@@ -492,6 +443,7 @@ Json run_campaign(const CampaignConfig& config,
       total += corpora.back().second.size();
     }
 
+    const ComparisonHooks hooks = make_hooks("robust");
     std::vector<RobustnessUnitResult> units;
     std::size_t done = 0;
     for (const auto& [cls, graphs] : corpora) {
@@ -511,69 +463,25 @@ Json run_campaign(const CampaignConfig& config,
           continue;
         }
 
-        bool unit_completed = false;
-        UnitFailure failure;
-        failure.cls = cls;
-        failure.platform = "chti";
-        failure.index = i;
-        for (int attempt = 0; attempt <= config.max_retries; ++attempt) {
-          try {
-            const std::uint64_t seed =
-                attempt == 0
-                    ? derive_seed(config.seed, cls_salt, i)
-                    : derive_seed(config.seed,
-                                  cls_salt ^ splitmix64(
-                                      static_cast<std::uint64_t>(attempt)),
-                                  i);
-            const auto instance = ProblemInstance::create(
-                std::make_shared<const Ptg>(graphs[i]), model, cluster);
-            RobustnessUnitResult u =
-                run_robustness_unit(instance, opts, cls, "chti", i, seed);
-            if (journal) {
-              Json unit = Json::object();
-              unit.set("phase", "robust");
-              unit.set("result", robustness_unit_to_json(u));
-              Json line = Json::object();
-              line.set("unit", std::move(unit));
-              journal->append_line(line.dump(0));
-            }
-            units.push_back(std::move(u));
-            unit_completed = true;
-            break;
-          } catch (const std::exception& e) {
-            failure.kind = classify_unit_error(e);
-            failure.message = e.what();
-            failure.attempts = attempt + 1;
-            if (failure.kind == UnitErrorKind::kInputError ||
-                failure.kind == UnitErrorKind::kCancelled) {
-              break;
-            }
-            if (attempt < config.max_retries) {
-              const double delay = backoff_delay_seconds(
-                  attempt + 1, config.retry_backoff_seconds,
-                  config.unit_deadline_seconds,
-                  derive_seed(config.seed, cls_salt, i));
-              if (!backoff_sleep(delay, config.cancel)) {
-                failure.kind = UnitErrorKind::kCancelled;
-                failure.message = "cancelled while backing off before retry";
-                break;
-              }
-            }
-          }
-        }
-        if (!unit_completed) {
-          Json fj = unit_failure_to_json(failure);
-          fj.set("phase", "robust");
-          if (journal) {
-            Json line = Json::object();
-            line.set("failure", fj);
-            journal->append_line(line.dump(0));
-          }
-          failures.push_back(std::move(fj));
-          if (failure.kind == UnitErrorKind::kCancelled) {
-            cancelled = true;
-            break;
-          }
+        UnitFailure failure{.cls = cls, .platform = "chti", .index = i};
+        std::optional<RobustnessUnitResult> u;
+        const bool completed = run_unit_attempts(
+            hooks, attempt_seed(config.seed, cls_salt, i, 0), failure,
+            [&](int attempt) {
+              const auto instance = ProblemInstance::create(
+                  std::make_shared<const Ptg>(graphs[i]), model, cluster);
+              u = run_robustness_unit(
+                  instance, opts, cls, "chti", i,
+                  attempt_seed(config.seed, cls_salt, i, attempt));
+            });
+        if (completed) {
+          journal_append(journal.get(), "unit",
+                         JsonObject{{"phase", "robust"},
+                                    {"result", robustness_unit_to_json(*u)}});
+          units.push_back(std::move(*u));
+        } else if (failure.kind == UnitErrorKind::kCancelled) {
+          cancelled = true;
+          break;
         }
         ++done;
         if (progress) progress("robust", done, total);

@@ -128,6 +128,41 @@ UnitErrorKind classify_unit_error(const std::exception& e) {
   return UnitErrorKind::kEvalError;
 }
 
+bool run_unit_attempts(const ComparisonHooks& hooks, std::uint64_t jitter_seed,
+                       UnitFailure& failure,
+                       const std::function<void(int attempt)>& attempt) {
+  for (int n = 0; n <= hooks.max_retries; ++n) {
+    try {
+      if (hooks.before_attempt) {
+        hooks.before_attempt(failure.cls, failure.platform, failure.index, n);
+      }
+      attempt(n);
+      return true;
+    } catch (const std::exception& e) {
+      failure.kind = classify_unit_error(e);
+      failure.message = e.what();
+      failure.attempts = n + 1;
+    }
+    // Input errors are deterministic; cancellation ends the sweep.
+    if (failure.kind == UnitErrorKind::kInputError ||
+        failure.kind == UnitErrorKind::kCancelled) {
+      break;
+    }
+    if (n < hooks.max_retries) {
+      const double delay = backoff_delay_seconds(
+          n + 1, hooks.retry_backoff_seconds, hooks.unit_deadline_seconds,
+          jitter_seed);
+      if (!backoff_sleep(delay, hooks.cancel)) {
+        failure.kind = UnitErrorKind::kCancelled;
+        failure.message = "cancelled while backing off before retry";
+        break;
+      }
+    }
+  }
+  if (hooks.on_failure) hooks.on_failure(failure);
+  return false;
+}
+
 Json instance_result_to_json(const InstanceResult& ir) {
   Json o = Json::object();
   o.set("class", ir.cls);
@@ -241,52 +276,20 @@ ComparisonResult run_comparison(const ComparisonConfig& config,
 
         // Per-unit isolation: a failing unit is retried with a fresh
         // derived seed, then recorded in the error taxonomy — it never
-        // aborts the sweep.
-        bool completed = false;
-        UnitFailure failure;
-        failure.cls = cls;
-        failure.platform = platform_name;
-        failure.index = i;
-        int attempt = 0;
-        for (; attempt <= hooks.max_retries; ++attempt) {
-          try {
-            if (hooks.before_attempt) {
-              hooks.before_attempt(cls, platform_name, i, attempt);
-            }
-            InstanceResult ir = run_unit(config, hooks, cls, graphs[i],
-                                         platform_name, cluster, model, i,
-                                         attempt);
-            if (hooks.on_unit) hooks.on_unit(ir);
-            result.instances.push_back(std::move(ir));
-            completed = true;
-            break;
-          } catch (const std::exception& e) {
-            failure.kind = classify_unit_error(e);
-            failure.message = e.what();
-            failure.attempts = attempt + 1;
-            // Input errors are deterministic; cancellation ends the sweep.
-            if (failure.kind == UnitErrorKind::kInputError ||
-                failure.kind == UnitErrorKind::kCancelled) {
-              break;
-            }
-            // Exponential backoff before the next attempt (deterministic
-            // jitter keyed off the unit's base seed).
-            if (attempt < hooks.max_retries) {
-              const double delay = backoff_delay_seconds(
-                  attempt + 1, hooks.retry_backoff_seconds,
-                  hooks.unit_deadline_seconds,
-                  unit_seed(config.seed, cls, platform_name, i, 0));
-              if (!backoff_sleep(delay, hooks.cancel)) {
-                failure.kind = UnitErrorKind::kCancelled;
-                failure.message = "cancelled while backing off before retry";
-                break;
-              }
-            }
-          }
-        }
-        if (!completed) {
+        // aborts the sweep. Backoff jitter is keyed off the unit's base
+        // seed.
+        UnitFailure failure{.cls = cls, .platform = platform_name, .index = i};
+        std::optional<InstanceResult> ir;
+        if (run_unit_attempts(
+                hooks, unit_seed(config.seed, cls, platform_name, i, 0),
+                failure, [&](int attempt) {
+                  ir = run_unit(config, hooks, cls, graphs[i], platform_name,
+                                cluster, model, i, attempt);
+                })) {
+          if (hooks.on_unit) hooks.on_unit(*ir);
+          result.instances.push_back(std::move(*ir));
+        } else {
           result.failures.push_back(failure);
-          if (hooks.on_failure) hooks.on_failure(failure);
           if (failure.kind == UnitErrorKind::kCancelled) {
             result.cancelled = true;
             break;

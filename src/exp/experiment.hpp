@@ -93,25 +93,30 @@ struct UnitFailure {
   std::string platform;
   std::size_t index = 0;
   UnitErrorKind kind = UnitErrorKind::kEvalError;
-  std::string message;  ///< what() of the last attempt's exception.
-  int attempts = 1;     ///< Total attempts made (1 = failed without retry).
+  std::string message{};  ///< what() of the last attempt's exception.
+  int attempts = 1;       ///< Total attempts made (1 = failed without retry).
 };
 
 [[nodiscard]] Json unit_failure_to_json(const UnitFailure& f);
 
-/// Fault-tolerance hooks for run_comparison. All members are optional; the
-/// default-constructed hooks reproduce the historical all-or-nothing run
-/// exactly (same seeds, same trajectory).
+/// Unit-isolation policy shared by every campaign phase: run_comparison
+/// (Figures 4/5) and the campaign's gap and robustness phases all run their
+/// units through run_unit_attempts with one of these. All members are
+/// optional; the default-constructed hooks reproduce the historical
+/// all-or-nothing run exactly (same seeds, same trajectory).
 struct ComparisonHooks {
-  /// Consulted before each unit executes; a populated return value is used
-  /// verbatim (checkpoint replay) and the unit is not re-run.
+  /// run_comparison consults it before each unit executes; a populated
+  /// return value is used verbatim (checkpoint replay) and the unit is not
+  /// re-run.
   std::function<std::optional<InstanceResult>(
       const std::string& cls, const std::string& platform, std::size_t index)>
       lookup;
-  /// Called after every freshly executed unit (checkpoint append). A throw
-  /// from this hook aborts the sweep (the journal must stay trustworthy).
+  /// run_comparison calls it after every freshly executed unit (checkpoint
+  /// append), outside the retry loop. A throw from this hook aborts the
+  /// sweep (the journal must stay trustworthy); the unit is not retried.
   std::function<void(const InstanceResult&)> on_unit;
-  /// Called once per unit that exhausted its attempts.
+  /// Called once per unit that exhausted its attempts, outside the retry
+  /// loop; a throw from it aborts the sweep too.
   std::function<void(const UnitFailure&)> on_failure;
   /// Fault-injection seam for tests: invoked at the start of every attempt
   /// with (cls, platform, index, attempt); a throw fails that attempt and
@@ -120,11 +125,12 @@ struct ComparisonHooks {
                      std::size_t index, int attempt)>
       before_attempt;
   /// Cooperative cancellation: checked between units (and, via EmtsConfig,
-  /// inside each EMTS run). On cancel the sweep stops issuing units and
-  /// returns with ComparisonResult::cancelled set.
+  /// inside each EMTS run) and while backing off before a retry. On cancel
+  /// the sweep stops issuing units and returns with
+  /// ComparisonResult::cancelled set.
   const CancellationToken* cancel = nullptr;
   /// Extra attempts after a unit's first failure. Retries re-derive the
-  /// EMTS seed with a per-attempt salt, so a poisoned trajectory is not
+  /// unit's seed with a per-attempt salt, so a poisoned trajectory is not
   /// replayed verbatim; input errors are deterministic and not retried.
   int max_retries = 0;
   /// Per-unit wall-clock deadline plumbed into EmtsConfig::
@@ -136,6 +142,22 @@ struct ComparisonHooks {
   /// 0 preserves the historical immediate retry.
   double retry_backoff_seconds = 0.0;
 };
+
+/// Run one unit under the isolation policy of `hooks`: call
+/// `attempt(n)` for n = 0, 1, ... until one returns, calling
+/// hooks.before_attempt(failure.cls, failure.platform, failure.index, n)
+/// first each time. A failed attempt is classified (classify_unit_error)
+/// into `failure`; input errors and cancellation are not retried, and
+/// every other error is retried up to hooks.max_retries times after a
+/// jittered backoff keyed by `jitter_seed`. A cancel during that backoff
+/// ends the unit as cancelled. Returns true once an attempt returns. On
+/// exhaustion it reports `failure` through hooks.on_failure and returns
+/// false. Only `attempt` runs inside the retry: the caller journals and
+/// aggregates a success after this returns, so a journal failure
+/// propagates instead of re-running the unit.
+[[nodiscard]] bool run_unit_attempts(
+    const ComparisonHooks& hooks, std::uint64_t jitter_seed,
+    UnitFailure& failure, const std::function<void(int attempt)>& attempt);
 
 /// Aggregated cell: mean relative makespan of one baseline vs EMTS for one
 /// (class, platform) pair — one bar of Figure 4/5.
@@ -165,9 +187,10 @@ using ProgressFn = std::function<void(std::size_t, std::size_t)>;
 
 /// Run the full comparison. Deterministic in config.seed; with
 /// default-constructed hooks the trajectory is identical to the historical
-/// all-or-nothing implementation. Per-unit failures are isolated (recorded
-/// in ComparisonResult::failures, sweep continues) instead of aborting the
-/// whole run.
+/// all-or-nothing implementation. Each unit runs through run_unit_attempts:
+/// its failures are isolated (recorded in ComparisonResult::failures, sweep
+/// continues) instead of aborting the whole run, while a throw from
+/// hooks.on_unit or hooks.on_failure propagates.
 [[nodiscard]] ComparisonResult run_comparison(
     const ComparisonConfig& config, const ProgressFn& progress = {},
     const ComparisonHooks& hooks = {});

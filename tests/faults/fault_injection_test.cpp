@@ -16,6 +16,7 @@
 #include "eval/evaluation_engine.hpp"
 #include "exp/experiment.hpp"
 #include "sched/validate.hpp"
+#include "support/atomic_io.hpp"
 
 namespace ptgsched {
 namespace {
@@ -261,6 +262,54 @@ TEST(UnitIsolation, CancellationStopsTheSweep) {
   EXPECT_EQ(r.instances.size(), 1u);  // unit 0 only; 1 cancelled, 2 skipped
   ASSERT_EQ(r.failures.size(), 1u);
   EXPECT_EQ(r.failures[0].kind, UnitErrorKind::kCancelled);
+}
+
+TEST(UnitIsolation, CancelDuringBackoffEndsTheSweep) {
+  CancellationToken cancel;
+  ComparisonHooks hooks;
+  hooks.cancel = &cancel;
+  hooks.max_retries = 3;
+  hooks.retry_backoff_seconds = 0.05;
+  int attempts_seen = 0;
+  hooks.before_attempt = [&](const std::string&, const std::string&,
+                             std::size_t index, int) {
+    if (index == 1) {
+      ++attempts_seen;
+      cancel.request_cancel();  // lands while the unit backs off
+      throw std::runtime_error("transient evaluator glitch");
+    }
+  };
+  const ComparisonResult r = run_comparison(tiny_comparison(), {}, hooks);
+  EXPECT_TRUE(r.cancelled);
+  EXPECT_EQ(attempts_seen, 1);        // the backoff was cut, no retry ran
+  EXPECT_EQ(r.instances.size(), 1u);  // unit 0 only; 2 never started
+  ASSERT_EQ(r.failures.size(), 1u);
+  EXPECT_EQ(r.failures[0].index, 1u);
+  EXPECT_EQ(r.failures[0].kind, UnitErrorKind::kCancelled);
+  EXPECT_EQ(r.failures[0].message,
+            "cancelled while backing off before retry");
+  EXPECT_EQ(r.failures[0].attempts, 1);
+}
+
+TEST(UnitIsolation, JournalFailureAbortsTheSweep) {
+  // on_unit is the checkpoint append. Its failure is not a unit failure:
+  // retrying would re-run a unit whose result may already be half on
+  // disk, and recording it would continue with an untrustworthy journal.
+  ComparisonHooks hooks;
+  hooks.max_retries = 2;
+  int attempts = 0;
+  hooks.before_attempt = [&](const std::string&, const std::string&,
+                             std::size_t, int) { ++attempts; };
+  hooks.on_unit = [](const InstanceResult& ir) {
+    if (ir.index == 0) {
+      throw IoError("campaign_checkpoint.json", "fsync: injected failure");
+    }
+  };
+  bool failure_recorded = false;
+  hooks.on_failure = [&](const UnitFailure&) { failure_recorded = true; };
+  EXPECT_THROW((void)run_comparison(tiny_comparison(), {}, hooks), IoError);
+  EXPECT_EQ(attempts, 1);
+  EXPECT_FALSE(failure_recorded);
 }
 
 TEST(UnitIsolation, UnitDeadlinePlumbsIntoTimeBudget) {

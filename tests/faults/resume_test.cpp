@@ -1,7 +1,9 @@
 // Kill-and-resume tests (ctest label "faults"): a campaign killed mid-run
 // by a real SIGTERM leaves a durable checkpoint journal behind, and
 // --resume completes it with a report identical to an uninterrupted
-// baseline (modulo the wall-clock seconds recorded while units ran).
+// baseline (modulo the wall-clock seconds recorded while units ran). A
+// journal append that fails ends the campaign with its IoError, so the
+// journal never silently misses a unit the report counted.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,8 @@
 #include <set>
 
 #include "exp/campaign.hpp"
+#include "support/atomic_io.hpp"
+#include "support/chaos.hpp"
 #include "support/error_context.hpp"
 
 namespace ptgsched {
@@ -135,6 +139,78 @@ TEST(Resume, RejectsCheckpointFromDifferentConfiguration) {
   cfg.seed = 14;  // different campaign; its journal must not be replayed
   cfg.resume = true;
   EXPECT_THROW((void)run_campaign(cfg), LoadError);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Resume, GapJournalFailureAbortsInsteadOfCountingTwice) {
+  // A failed journal append of a finished unit must end the campaign with
+  // its IoError. Retrying the unit instead would add its gap a second time
+  // and leave the journal missing the unit, with no failure reported.
+  const auto dir = fresh_dir("ptgsched_resume_gap_fsync");
+  CampaignConfig cfg;
+  cfg.instances = 1;
+  cfg.num_tasks = 10;
+  cfg.seed = 5;
+  cfg.include_emts10 = false;
+  cfg.max_retries = 1;
+  cfg.output_dir = dir.string();
+  const std::string gap_key = "optimality_gap_emts5_model2_irregular_grelon";
+
+  // A clean run under a zero-rate policy counts the journal fsyncs; the
+  // gap phase reports progress right after journaling its first unit.
+  std::uint64_t gap_fsync = 0;
+  std::uint64_t total_fsyncs = 0;
+  {
+    ChaosPolicy counting{ChaosConfig{}};
+    ScopedChaos scope(counting);
+    bool seen = false;
+    const Json clean = run_campaign(
+        cfg, [&](const std::string& phase, std::size_t, std::size_t) {
+          if (phase == "gap" && !seen) {
+            seen = true;
+            gap_fsync = counting.ops(ChaosSite::kJournalFsync) - 1;
+          }
+        });
+    ASSERT_TRUE(seen);
+    total_fsyncs = counting.ops(ChaosSite::kJournalFsync);
+    ASSERT_EQ(clean.at(gap_key).at("n").as_int(), 1);
+  }
+
+  // A chaos seed that fails that fsync and no other, including the one
+  // extra append a retried unit would make.
+  ChaosSiteConfig rates;
+  rates.fail_rate = 0.05;
+  ChaosConfig chaos;
+  bool found = false;
+  for (std::uint64_t seed = 1; seed <= 1000 && !found; ++seed) {
+    chaos = ChaosConfig{};
+    chaos.seed = seed;
+    chaos.set_sites({ChaosSite::kJournalFsync}, rates);
+    ChaosPolicy probe(chaos);
+    found = true;
+    for (std::uint64_t op = 0; op <= total_fsyncs && found; ++op) {
+      const bool fails =
+          probe.decide(ChaosSite::kJournalFsync) == ChaosAction::kFail;
+      found = fails == (op == gap_fsync);
+    }
+  }
+  ASSERT_TRUE(found);
+
+  std::filesystem::remove_all(dir);
+  ChaosPolicy policy(chaos);
+  ScopedChaos scope(policy);
+  try {
+    const Json report = run_campaign(cfg);
+    ADD_FAILURE() << "campaign survived a failed journal append: gap n = "
+                  << report.at(gap_key).at("n").as_int() << ", failures "
+                  << report.at("failures").dump(0);
+  } catch (const IoError& e) {
+    EXPECT_NE(std::string(e.what()).find(kCampaignCheckpointFile),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(policy.injected(ChaosSite::kJournalFsync, ChaosAction::kFail),
+            1u);
   std::filesystem::remove_all(dir);
 }
 
